@@ -30,6 +30,7 @@ from .datagen import (
 from .matkernels import (
     DegenerateBlockBasisError,
     InseparableClustersError,
+    NumericalError,
     SchurConvergenceError,
     SchurForm,
     block_diagonalize_similarity,
@@ -84,6 +85,7 @@ __all__ = [
     "MatrixSet",
     "ModelInstance",
     "NullSpaceBasis",
+    "NumericalError",
     "Partition",
     "SchurConvergenceError",
     "SchurForm",

@@ -2,7 +2,8 @@
 instances, run benchmark sweeps, and run diagnostic checks.
 
 Exit codes: 0 success, 2 unreadable or malformed input, 3 the solver only
-found the trivial solution (still written), 4 a requested check failed.
+found the trivial solution (still written), 4 a requested check failed,
+5 a numerical failure (for example inseparable eigenvalue clusters).
 """
 
 import argparse
@@ -24,6 +25,7 @@ from .analysis import (
     verify_offblock_bound,
 )
 from .datagen import generate_model
+from .matkernels import NumericalError
 from .nullspace import MatrixSet
 from .partition import Partition, is_refinement
 from .solvers import (
@@ -42,6 +44,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_TRIVIAL = 3
 EXIT_CHECK_FAILED = 4
+EXIT_NUMERICAL = 5
 
 _METHODS = ("greedy", "consv", "exact")
 
@@ -456,10 +459,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError) as exc:
+    except (InputError, ValueError, NumericalError) as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_PARSE
 
 
 if __name__ == "__main__":

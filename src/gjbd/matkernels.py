@@ -1,17 +1,26 @@
 """Dense matrix kernels: perfect shuffle, ordered real Schur form, Sylvester-based
-block diagonalization, economic QR, principal angles and separation estimates."""
+block diagonalization, economic QR, principal angles and separation estimates.
+
+The Schur form is reordered with LAPACK ``dtrexc`` (Bai-Demmel block swaps)
+and the clusters are decoupled with LAPACK ``dtrsyl`` (Bartels-Stewart),
+guarded by the ``dtrsen`` separation estimate."""
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 
-class SchurConvergenceError(RuntimeError):
+class NumericalError(RuntimeError):
+    """Base class of the numerical failures a solve can raise."""
+
+
+class SchurConvergenceError(NumericalError):
     """The QR eigenvalue iteration failed to converge."""
 
 
-class InseparableClustersError(RuntimeError):
+class InseparableClustersError(NumericalError):
     """Two eigenvalue clusters share (nearly) common eigenvalues, so the
     Sylvester system that decouples them is numerically singular."""
 
@@ -20,7 +29,7 @@ class InseparableClustersError(RuntimeError):
         self.clusters = (j, k)
 
 
-class DegenerateBlockBasisError(RuntimeError):
+class DegenerateBlockBasisError(NumericalError):
     """A block of columns is numerically rank deficient."""
 
 
@@ -83,108 +92,19 @@ def perfect_shuffle(n):
     return (k % n) * n + k // n
 
 
-def _apply_pair_rotation(q, t, i, g):
-    sl = slice(i, i + 2)
-    t[:, sl] = t[:, sl] @ g
-    t[sl, :] = g.T @ t[sl, :]
-    q[:, sl] = q[:, sl] @ g
-
-
-def _split_real_pair(q, t, i):
-    # rotate an eigenvector of the 2x2 block onto the first axis, leaving an
-    # upper-triangular split; the root sign avoids cancellation in lam - d
-    a, b = t[i, i], t[i, i + 1]
-    c, d = t[i + 1, i], t[i + 1, i + 1]
-    half = 0.5 * (a - d)
-    root = np.sqrt(max(half * half + b * c, 0.0))
-    lam = 0.5 * (a + d) + (root if half >= 0.0 else -root)
-    v0, v1 = lam - d, c
-    nrm = np.hypot(v0, v1)
-    g = np.array([[v0, -v1], [v1, v0]]) / nrm
-    _apply_pair_rotation(q, t, i, g)
-    t[i + 1, i] = 0.0
-
-
-def _standardize_pair(q, t, i):
-    # Bring the 2x2 block at (i, i) to standard form: equal diagonal entries
-    # for a genuine complex pair, or an upper-triangular split when the
-    # eigenvalues turn out real (a swap can leave such a block behind when
-    # the imaginary parts sit at rounding level).
-    a, b = t[i, i], t[i, i + 1]
-    c, d = t[i + 1, i], t[i + 1, i + 1]
-    if c == 0.0:
-        return
-    half = 0.5 * (a - d)
-    if half * half + b * c >= 0.0:
-        _split_real_pair(q, t, i)
-        return
-    if a != d:
-        tau = (b + c) / (a - d)
-        off = np.hypot(tau, 1.0)
-        root = tau - off if abs(tau - off) < abs(tau + off) else tau + off
-        cs = 1.0 / np.hypot(root, 1.0)
-        sn = root * cs
-        _apply_pair_rotation(q, t, i, np.array([[cs, -sn], [sn, cs]]))
-    # rounding can flip the off product of a near-real pair; split those too
-    if t[i + 1, i] != 0.0 and t[i, i + 1] * t[i + 1, i] >= 0.0:
-        _split_real_pair(q, t, i)
-
-
-def _swap_adjacent_blocks(q, t, p, s1, s2):
-    # Direct swap of the adjacent diagonal blocks t[p:p+s1, p:p+s1] and
-    # t[p+s1:p+s1+s2, ...] by an orthogonal similarity (Bai-Demmel).  The
-    # Sylvester system is solved in Kronecker form; a pseudo-inverse cutoff
-    # keeps the transform orthogonal (hence backward stable) even when the
-    # two blocks have nearly equal eigenvalues.
-    v = slice(p, p + s1)
-    w = slice(p + s1, p + s1 + s2)
-    b11, b12, b22 = t[v, v], t[v, w], t[w, w]
-    k = np.kron(np.eye(s2), b11) - np.kron(b22.T, np.eye(s1))
-    u_k, s_k, vt_k = np.linalg.svd(k)
-    cutoff = max(s1, s2) * np.finfo(float).eps * (s_k[0] if s_k[0] > 0 else 1.0)
-    inv = np.zeros_like(s_k)
-    np.divide(1.0, s_k, out=inv, where=s_k > cutoff)
-    x = (vt_k.T @ (inv * (u_k.T @ b12.flatten(order="F")))).reshape((s1, s2), order="F")
-    qs, _ = np.linalg.qr(np.vstack([-x, np.eye(s2)]), mode="complete")
-    vw = slice(p, p + s1 + s2)
-    t[:, vw] = t[:, vw] @ qs
-    t[vw, :] = qs.T @ t[vw, :]
-    q[:, vw] = q[:, vw] @ qs
-    # restore exact quasi-triangular zeros below the swapped blocks
-    t[p + s2:p + s1 + s2, p:p + s2] = 0.0
-    if s2 == 2:
-        _standardize_pair(q, t, p)
-    if s1 == 2:
-        _standardize_pair(q, t, p + s2)
-
-
-def _block_structure(t, tol):
-    # (start, size) of each diagonal block of a quasi-triangular matrix
-    n = t.shape[0]
-    blocks = []
-    i = 0
-    while i < n:
-        if i + 1 < n and abs(t[i + 1, i]) > tol:
-            blocks.append((i, 2))
-            i += 2
-        else:
-            blocks.append((i, 1))
-            i += 1
-    return blocks
-
-
-def _block_real_part(t, start, size):
-    if size == 1:
-        return t[start, start]
-    return 0.5 * (t[start, start] + t[start + 1, start + 1])
+def _block_size(t, i):
+    # 2 at the start of a 2x2 conjugate-pair block, else 1
+    return 2 if i + 1 < t.shape[0] and t[i + 1, i] != 0.0 else 1
 
 
 def real_schur_ordered(z):
     """Real Schur decomposition ``z = q @ t @ q.T`` with the diagonal blocks
     reordered so the eigenvalue real parts are ascending.
 
-    The raw factorization is delegated to LAPACK; the ordering pass swaps
-    adjacent diagonal blocks (2x2 conjugate-pair blocks move as units).
+    The raw factorization is delegated to LAPACK; a selection sort moves the
+    first block with the smallest real part to the front of the unsorted
+    tail with ``dtrexc`` (2x2 conjugate-pair blocks move as units and stay
+    standardized, so their diagonal entries equal the real part).
 
     Parameters
     ----------
@@ -210,54 +130,39 @@ def real_schur_ordered(z):
         t, q = scipy.linalg.schur(z, output="real")
     except np.linalg.LinAlgError as exc:
         raise SchurConvergenceError(f"Schur iteration failed for a {n}x{n} matrix") from exc
-    t = t.copy()
-    q = q.copy()
-    subdiag_tol = 0.0  # LAPACK returns exact zeros below 1x1 blocks
-    blocks = _block_structure(t, subdiag_tol)
-    for start, size in blocks:
-        if size == 2:
-            _standardize_pair(q, t, start)
 
-    # bubble sort on blocks; strict comparison keeps the pass deterministic.
-    # Swapping jitters eigenvalues at rounding level, so nearly tied blocks
-    # could oscillate; the swap budget (far above the n^2/2 a sort needs)
-    # guarantees termination with at most rounding-level disorder left.
-    budget = n * n + 16
-    swapped = True
-    while swapped and budget > 0:
-        swapped = False
-        blocks = _block_structure(t, subdiag_tol)
-        for idx in range(len(blocks) - 1):
-            (p1, s1), (p2, s2) = blocks[idx], blocks[idx + 1]
-            if _block_real_part(t, p1, s1) > _block_real_part(t, p2, s2):
-                _swap_adjacent_blocks(q, t, p1, s1, s2)
-                blocks = _block_structure(t, subdiag_tol)
-                swapped = True
-                budget -= 1
-                if budget == 0:
-                    break
+    i = 0
+    while i < n:
+        best = p = i
+        while p < n:
+            if t[p, p] < t[best, best]:
+                best = p
+            p += _block_size(t, p)
+        if best > i:
+            # dtrexc leaves a block short of its target (info = 1) only when
+            # its eigenvalues are too close to a neighbour's to swap stably
+            t, q, _ = lapack.dtrexc(t, q, best + 1, i + 1)
+        i += _block_size(t, i)
 
-    blocks = _block_structure(t, subdiag_tol)
-    real_parts = np.empty(n)
+    pairs = np.diag(t, -1) != 0.0
     pair_flags = np.zeros(n, dtype=bool)
-    for start, size in blocks:
-        rp = _block_real_part(t, start, size)
-        real_parts[start:start + size] = rp
-        if size == 2:
-            pair_flags[start:start + 2] = True
-    return SchurForm(q=q, t=t, eig_real_parts=real_parts, pair_flags=pair_flags)
+    pair_flags[:-1] |= pairs
+    pair_flags[1:] |= pairs
+    return SchurForm(q=q, t=t, eig_real_parts=np.diag(t).copy(), pair_flags=pair_flags)
 
 
 def _solve_cluster_sylvester(tjj, tkk, rhs, tnorm, j, k):
-    # Solve tjj @ X - X @ tkk = rhs in Kronecker form, guarding against
-    # shared spectra between the two clusters.
+    # Solve tjj @ X - X @ tkk = rhs by Bartels-Stewart, guarding with the
+    # dtrsen estimate of sep(tjj, tkk) against clusters that cannot be
+    # decoupled even when their eigenvalues lie apart.
     nj, nk = tjj.shape[0], tkk.shape[0]
-    kr = np.kron(np.eye(nk), tjj) - np.kron(tkk.T, np.eye(nj))
-    u, s, vt = np.linalg.svd(kr)
-    if s[-1] <= 1e3 * np.finfo(float).eps * tnorm:
+    select = np.arange(nj + nk) < nj
+    *_, sep, _ = lapack.dtrsen(select, scipy.linalg.block_diag(tjj, tkk), np.eye(nj + nk),
+                               job="V", wantq=0, lwork=2 * nj * nk, liwork=nj * nk)
+    x, scale, info = lapack.dtrsyl(tjj, tkk, rhs, isgn=-1)
+    if sep <= 1e3 * np.finfo(float).eps * tnorm or info != 0:
         raise InseparableClustersError(j, k)
-    x = vt.T @ ((u.T @ rhs.flatten(order="F")) / s)
-    return x.reshape((nj, nk), order="F")
+    return x / scale
 
 
 def block_diagonalize_similarity(schur, boundaries):

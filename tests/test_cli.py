@@ -1,9 +1,11 @@
 import json
 
 import numpy as np
+import pytest
 
 from gjbd.cli import (
     EXIT_CHECK_FAILED,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_TRIVIAL,
@@ -108,6 +110,17 @@ class TestSolve:
     def test_invalid_gamma(self, tmp_path):
         inp = synth(tmp_path, "set.json", "2,2", 3, 40, 0)
         assert run("solve", inp, "--gamma", 0.5) == EXIT_PARSE
+
+    @pytest.mark.parametrize("method", ["greedy", "exact"])
+    def test_inseparable_clusters_exit_code(self, tmp_path, capsys, method):
+        # an SNR-0 single-matrix set whose random combination has
+        # inseparable clusters
+        inp = synth(tmp_path, "set.json", "2,1,1", 1, 0, 215)
+        out = tmp_path / "res.json"
+        code = run("solve", inp, "--method", method, "--seed", 215, "--out", out)
+        assert code == EXIT_NUMERICAL
+        assert "inseparable" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBench:

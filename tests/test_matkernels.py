@@ -123,6 +123,24 @@ class TestBlockDiagonalizeSimilarity:
             block_diagonalize_similarity(sf, [1])
         assert err.value.clusters == (0, 1)
 
+    @pytest.mark.parametrize("c, separable", [(1e7, False), (1e3, True)])
+    def test_nonnormal_pair_with_distinct_eigenvalues(self, c, separable):
+        # cluster {1, 1.001} lies 0.5 away from cluster {1.5}, but a large
+        # coupling inside the first cluster can drive their separation
+        # below the 1e3 * eps * ||T|| guard
+        z = np.array([[1.0, 0.0, c], [0.0, 1.5, 0.0], [0.0, 0.0, 1.001]])
+        sf = real_schur_ordered(z)
+        if not separable:
+            with pytest.raises(InseparableClustersError) as err:
+                block_diagonalize_similarity(sf, [2])
+            assert err.value.clusters == (0, 1)
+            return
+        w, blocks = block_diagonalize_similarity(sf, [2])
+        recon = np.linalg.solve(w, sf.t @ w)
+        tol = 1e3 * np.finfo(float).eps * np.linalg.cond(w) * np.linalg.norm(sf.t)
+        assert np.linalg.norm(recon[:2, 2:]) + np.linalg.norm(recon[2:, :2]) <= tol
+        assert np.allclose(blocks[1], [[1.5]])
+
     def test_rejects_pair_splitting_boundary(self):
         sf = real_schur_ordered(np.array([[0.0, -1.0], [1.0, 0.0]]))
         with pytest.raises(ValueError):
