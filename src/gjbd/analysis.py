@@ -8,13 +8,12 @@ import numpy as np
 
 from .matkernels import economic_qr, largest_principal_angle, sep_lower
 from .nullspace import MatrixSet, exact_nullspace
-from .partition import iter_refines
 
 _REL_SLACK = 1e-8
 
-# groupings examined per performance-index call; covers every partition of
-# cardinality <= 10 exactly, and caps runaway enumeration beyond that
-_PI_GROUPING_BUDGET = 500_000
+# search nodes visited per performance-index call; past it the index is an
+# upper bound
+_PI_NODE_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -89,34 +88,21 @@ def normalize(w, p):
     return out
 
 
-def _greedy_grouping(p_hat, p_true, group_angle):
-    # fill groups with blocks in descending size order, each block going to
-    # the best-matching group with room; None when the fill does not close
-    order = sorted(range(p_hat.card), key=lambda j: -p_hat.sizes[j])
-    room = list(p_true.sizes)
-    assignment = [-1] * p_hat.card
-    for j in order:
-        fits = [k for k in range(p_true.card) if p_hat.sizes[j] <= room[k]]
-        if not fits:
-            return None
-        k = min(fits, key=lambda k: group_angle(k, (j,)))
-        assignment[j] = k
-        room[k] -= p_hat.sizes[j]
-    if any(room):
-        return None
-    return tuple(assignment)
-
-
 def performance_index(v_inv, w, p_true, p_hat):
     """Worst-case principal angle between true and recovered block column
-    spaces, minimized over all valid block matchings.
+    spaces, minimized over every grouping of the recovered blocks into the
+    true ones.
 
-    When ``p_hat`` refines ``p_true``, the recovered blocks are additionally
-    regrouped by every size-consistent assignment before matching.  The
-    minimum is exact whenever the number of groupings stays within the
-    enumeration budget (the case for every partition of cardinality <= 10);
-    past the budget the value is the minimum over the groupings examined,
-    hence an upper bound.
+    A grouping assigns each block of ``p_hat`` to a block of ``p_true`` so
+    that the sizes in each group add up to that block's size; a group scores
+    the largest principal angle between the true block and the span of its
+    members.  The minimum over groupings is found by a best-first branch and
+    bound: blocks are placed largest first, each tried first in the group
+    with room that keeps the worst angle lowest, and a partial grouping is
+    abandoned once its worst angle reaches the best complete one.  This is
+    sound because the angle of a group can only grow as members join.  The
+    result is exact while the search stays within its node budget; past the
+    budget it is the best grouping found, hence an upper bound.
 
     Parameters
     ----------
@@ -129,47 +115,55 @@ def performance_index(v_inv, w, p_true, p_hat):
     Returns
     -------
     float or None
-        None when ``p_hat`` is not a correct refinement of ``p_true``.
+        None when ``p_hat`` is not a correct refinement of ``p_true`` (past
+        the budget, also when no complete grouping was reached).
     """
     v_inv = np.asarray(v_inv, dtype=float)
     w = np.asarray(w, dtype=float)
     if v_inv.shape != w.shape or v_inv.shape[0] != p_true.n:
         raise ValueError("dimension mismatch between v_inv, w and partitions")
+    if p_hat.n != p_true.n:
+        return None
     true_blocks = [v_inv[:, sl] for sl in p_true.slices()]
     hat_slices = p_hat.slices()
     angle_cache = {}
 
     def group_angle(k, block_ids):
-        key = (k, block_ids)
+        key = (k, tuple(sorted(block_ids)))
         if key not in angle_cache:
-            cols = np.hstack([w[:, hat_slices[j]] for j in block_ids])
+            cols = np.hstack([w[:, hat_slices[j]] for j in key[1]])
             angle_cache[key] = largest_principal_angle(true_blocks[k], cols)
         return angle_cache[key]
 
-    def map_worst(g, cap):
-        worst = 0.0
-        for k in range(p_true.card):
-            ids = tuple(j for j in range(p_hat.card) if g[j] == k)
-            worst = max(worst, group_angle(k, ids))
-            if worst >= cap:
-                break
-        return worst
-
+    order = sorted(range(p_hat.card), key=lambda j: -p_hat.sizes[j])
+    groups = [[] for _ in range(p_true.card)]
+    room = list(p_true.sizes)
     best = np.inf
-    # seed the scan with a per-block best-angle assignment so the budgeted
-    # enumeration starts from a near-optimal bound on large grouping counts
-    seeded = _greedy_grouping(p_hat, p_true, group_angle)
-    if seeded is not None:
-        best = map_worst(seeded, np.inf)
-    examined = 0
-    for g in iter_refines(p_hat, p_true):
-        examined += 1
-        best = min(best, map_worst(g, best))
-        if best == 0.0 or examined >= _PI_GROUPING_BUDGET:
-            break
-    if examined == 0:
-        return None
-    return float(best)
+    nodes = 0
+
+    def search(depth, worst):
+        nonlocal best, nodes
+        nodes += 1
+        if depth == len(order):
+            # the finished groups' own angles, not the running bound, which
+            # also holds rounding-inflated angles of partial groups
+            best = max(group_angle(k, ids) for k, ids in enumerate(groups))
+            return
+        j = order[depth]
+        size = p_hat.sizes[j]
+        children = sorted((max(worst, group_angle(k, groups[k] + [j])), k)
+                          for k in range(p_true.card) if size <= room[k])
+        for bound, k in children:
+            if bound >= best or nodes >= _PI_NODE_BUDGET:
+                return
+            groups[k].append(j)
+            room[k] -= size
+            search(depth + 1, bound)
+            groups[k].pop()
+            room[k] += size
+
+    search(0, 0.0)
+    return None if np.isinf(best) else float(best)
 
 
 def _compressed_blocks(a, p, w):

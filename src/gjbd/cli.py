@@ -12,7 +12,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -257,19 +256,8 @@ def cmd_bench(args):
         if method not in _METHODS:
             raise InputError(f"unknown method {method!r}")
 
-    tasks = [(si, snr, trial) for si, snr in enumerate(snrs) for trial in range(args.trials)]
-
-    def run(task):
-        _, snr, trial = task
-        return _bench_trial(p, m, snr, args.seed, trial, methods, args.timing)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            per_task = list(pool.map(run, tasks))
-    else:
-        per_task = [run(task) for task in tasks]
-
-    rows = [row for rows in per_task for row in rows]
+    rows = [row for snr in snrs for trial in range(args.trials)
+            for row in _bench_trial(p, m, snr, args.seed, trial, methods, args.timing)]
     rows.sort(key=lambda r: (snrs.index(r["snr"]), r["trial"], r["method"]))
     lines = ["snr,trial,method,card,correct,pi,cost,runtime_ms"]
     for r in rows:
@@ -436,7 +424,6 @@ def build_parser():
     p_bench.add_argument("--trials", type=int, default=50)
     p_bench.add_argument("--methods", default="greedy,consv")
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--jobs", type=int, default=1, help="concurrent trials")
     p_bench.add_argument("--timing", action="store_true",
                          help="measure wall time per solve; off by default so "
                               "reruns with one seed are byte-identical")

@@ -229,17 +229,10 @@ def one_step_split_with_trace(a, gamma=1.2):
     z = sum(c * zj for c, zj in zip(alpha, zs))
     schur = real_schur_ordered(z)
     gaps = np.diff(schur.eig_real_parts)
-    forbidden = {start + 1 for start in schur.pair_starts()}
-    best_i = None
-    best_gap = -np.inf
-    for i in range(1, n):
-        if i in forbidden:
-            continue
-        if gaps[i - 1] > best_gap:
-            best_i = i
-            best_gap = gaps[i - 1]
-    if best_i is None:
+    gaps[np.diag(schur.t, -1) != 0.0] = -np.inf  # inside a conjugate pair
+    if np.all(gaps == -np.inf):
         raise UnsplittableError("every gap falls inside a conjugate-pair block")
+    best_i = int(np.argmax(gaps)) + 1  # first maximum: earliest index on ties
     w, _ = _assemble_diagonalizer(schur, [best_i])
     partition = Partition((best_i, n - best_i))
     cost = cost_ls(a, partition, w)

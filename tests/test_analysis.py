@@ -15,7 +15,7 @@ from gjbd.analysis import (
 from gjbd.datagen import generate_model, nonunique_example
 from gjbd.matkernels import largest_principal_angle
 from gjbd.nullspace import MatrixSet
-from gjbd.partition import Partition, block_permutation
+from gjbd.partition import Partition, block_permutation, iter_refines
 from gjbd.solvers import SolverConfig, Solution, greedy_solve_with_trace
 
 
@@ -158,6 +158,45 @@ class TestPerformanceIndex:
         v_inv = rng.standard_normal((16, 16))
         pi = performance_index(v_inv, v_inv, p_true, Partition((1,) * 16))
         assert pi is not None and pi <= 1e-8
+
+    @pytest.mark.parametrize("true_sizes, pieces, noise", [
+        ((2,) * 8, [(2,)] * 8, 1e-3),
+        ((2,) * 8, [(2,)] * 8, 3.0),
+        ((3, 3, 3), [(1, 1, 1), (2, 1), (3,)], 1e-2),
+        ((1, 2, 3, 4), [(1,), (2,), (3,), (4,)], 1e-6),
+        ((1, 2, 3), None, None),
+    ], ids=["pairs-near", "pairs-far", "over-split", "permuted", "random-w"])
+    def test_search_matches_full_scan(self, true_sizes, pieces, noise):
+        rng = np.random.default_rng(15)
+        p_true = Partition(true_sizes)
+        n = p_true.n
+        v_inv = rng.standard_normal((n, n))
+        if pieces is None:
+            # random diagonalizer scored against an over-split partition
+            p_hat = Partition((1, 1, 2, 1, 1))
+            w = rng.standard_normal((n, n))
+        else:
+            # recovered blocks cut from the true ones, shuffled and perturbed
+            cols = []
+            for sl, sizes in zip(p_true.slices(), pieces):
+                edges = np.cumsum((sl.start,) + sizes)
+                cols += [list(range(a, b)) for a, b in zip(edges[:-1], edges[1:])]
+            cols = [cols[j] for j in rng.permutation(len(cols))]
+            p_hat = Partition(tuple(len(c) for c in cols))
+            w = v_inv[:, sum(cols, [])] + noise * rng.standard_normal((n, n))
+        true_slices, hat_slices = p_true.slices(), p_hat.slices()
+        angles = {}
+        scores = []
+        for g in iter_refines(p_hat, p_true):
+            worst = 0.0
+            for k, sl in enumerate(true_slices):
+                ids = tuple(j for j in range(p_hat.card) if g[j] == k)
+                if (k, ids) not in angles:
+                    group = np.hstack([w[:, hat_slices[j]] for j in ids])
+                    angles[k, ids] = largest_principal_angle(v_inv[:, sl], group)
+                worst = max(worst, angles[k, ids])
+            scores.append(worst)
+        assert performance_index(v_inv, w, p_true, p_hat) == min(scores)
 
 
 class TestEquivalenceCheck:

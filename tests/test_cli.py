@@ -160,14 +160,6 @@ class TestBench:
             assert fields[0] == "inf"
             assert float(fields[5]) <= 1e-8  # pi
 
-    def test_concurrent_jobs_match_serial(self, tmp_path):
-        serial, threaded = tmp_path / "s.csv", tmp_path / "t.csv"
-        args = ("bench", "--case", "1", "--snrs", "40", "--trials", 3,
-                "--methods", "consv", "--seed", 5)
-        assert run(*args, "--out", serial) == EXIT_OK
-        assert run(*args, "--jobs", 3, "--out", threaded) == EXIT_OK
-        assert serial.read_bytes() == threaded.read_bytes()
-
     def test_custom_needs_partition(self, tmp_path):
         assert run("bench", "--case", "custom", "--out", tmp_path / "x.csv") == EXIT_PARSE
 
