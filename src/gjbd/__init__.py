@@ -52,7 +52,6 @@ from .nullspace import (
     trace_gram,
 )
 from .partition import (
-    Clustering,
     Partition,
     block_permutation,
     cluster_by_gap,
@@ -79,7 +78,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "Clustering",
     "DegenerateBlockBasisError",
     "InseparableClustersError",
     "MatrixSet",

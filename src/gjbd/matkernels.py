@@ -38,6 +38,10 @@ class SchurForm:
     """Real Schur decomposition with diagonal blocks sorted by ascending
     eigenvalue real part.
 
+    The factor ``t`` is the only record of the block structure: a nonzero
+    subdiagonal entry ``t[i + 1, i]`` marks a standardized 2x2 block holding
+    a complex conjugate pair, which no cluster boundary may split.
+
     Attributes
     ----------
     q : ndarray, shape (n, n)
@@ -45,32 +49,29 @@ class SchurForm:
     t : ndarray, shape (n, n)
         Real quasi-upper-triangular factor with 1x1 and 2x2 diagonal blocks;
         ``q @ t @ q.T`` reconstructs the input.
-    eig_real_parts : ndarray, shape (n,)
-        Real part of the eigenvalue at each diagonal position, non-decreasing.
-    pair_flags : ndarray of bool, shape (n,)
-        True at both positions of a 2x2 block holding a complex conjugate pair.
     """
 
     q: np.ndarray
     t: np.ndarray
-    eig_real_parts: np.ndarray
-    pair_flags: np.ndarray
 
     @property
     def n(self):
         return self.t.shape[0]
 
-    def pair_starts(self):
-        """0-based start positions of the 2x2 conjugate-pair blocks."""
-        starts = []
-        i = 0
-        while i < self.n:
-            if self.pair_flags[i]:
-                starts.append(i)
-                i += 2
-            else:
-                i += 1
-        return starts
+    @property
+    def eig_real_parts(self):
+        """Real part of the eigenvalue at each diagonal position, shape (n,),
+        non-decreasing up to rounding (a standardized 2x2 block carries the
+        pair's real part on both of its diagonal entries)."""
+        return np.diag(self.t)
+
+    @property
+    def cuts(self):
+        """Boolean array of shape (n - 1,): ``cuts[i]`` is True when a block
+        may end after position ``i``, that is when ``t[i + 1, i] == 0``, so
+        positions ``i`` and ``i + 1`` do not share a 2x2 conjugate-pair
+        block."""
+        return np.diag(self.t, -1) == 0.0
 
 
 def perfect_shuffle(n):
@@ -144,11 +145,7 @@ def real_schur_ordered(z):
             t, q, _ = lapack.dtrexc(t, q, best + 1, i + 1)
         i += _block_size(t, i)
 
-    pairs = np.diag(t, -1) != 0.0
-    pair_flags = np.zeros(n, dtype=bool)
-    pair_flags[:-1] |= pairs
-    pair_flags[1:] |= pairs
-    return SchurForm(q=q, t=t, eig_real_parts=np.diag(t).copy(), pair_flags=pair_flags)
+    return SchurForm(q=q, t=t)
 
 
 def _solve_cluster_sylvester(tjj, tkk, rhs, tnorm, j, k):
@@ -200,8 +197,7 @@ def block_diagonalize_similarity(schur, boundaries):
         raise ValueError("boundaries must lie strictly inside 1..n-1")
     if len(set(boundaries)) != len(boundaries):
         raise ValueError("boundaries must be distinct")
-    forbidden = {start + 1 for start in schur.pair_starts()}
-    if forbidden.intersection(boundaries):
+    if not schur.cuts[np.asarray(boundaries, dtype=int) - 1].all():
         raise ValueError("a boundary splits a 2x2 conjugate-pair block")
 
     edges = [0] + boundaries + [n]

@@ -5,8 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matkernels import perfect_shuffle
-
 
 @dataclass(frozen=True)
 class MatrixSet:
@@ -80,13 +78,12 @@ def build_stacked_operator(a):
     -------
     ndarray, shape (m*n*n, n*n)
     """
+    # row (i, c, r) holds vec(A_i Z - Z.T A_i)[r, c], column (q, p) the
+    # weight of Z[p, q]: A_i[r, p] where q == c, minus A_i[p, c] where q == r
     n = a.n
     eye = np.eye(n)
-    shuffle = perfect_shuffle(n)
-    rows = []
-    for mat in a.mats:
-        rows.append(np.kron(eye, mat) - np.kron(mat.T, eye)[:, shuffle])
-    return np.vstack(rows)
+    k = np.einsum("irp,qc->icrqp", a.mats, eye) - np.einsum("ipc,qr->icrqp", a.mats, eye)
+    return k.reshape(a.m * n * n, n * n)
 
 
 def residual(a, z):

@@ -1,6 +1,6 @@
-"""Block-structure arithmetic: partitions, gap clustering of eigenvalue real
-parts, block permutations, and the grouping test that scores a computed
-partition against a reference one."""
+"""Block-structure arithmetic: partitions, gap clustering of the eigenvalue
+real parts of an ordered Schur form, block permutations, and the grouping
+test that scores a computed partition against a reference one."""
 
 from dataclasses import dataclass
 
@@ -37,80 +37,46 @@ class Partition:
         return [slice(edges[j], edges[j + 1]) for j in range(self.card)]
 
 
-@dataclass(frozen=True)
-class Clustering:
-    """Split indices produced by gap detection on sorted real parts.
-
-    ``boundaries`` are counts of leading positions, so the induced block
-    sizes are the consecutive differences against 0 and n.
-    """
-
-    boundaries: tuple
-    threshold_used: float
-
-    def to_partition(self, n):
-        edges = [0] + list(self.boundaries) + [n]
-        return Partition(tuple(edges[j + 1] - edges[j] for j in range(len(edges) - 1)))
-
-
-def _pair_forbidden_boundaries(pair_flags):
-    # a 2x2 conjugate-pair block occupying positions (s, s+1) forbids the
-    # boundary after s+1 leading elements minus one, i.e. index s+1
-    forbidden = set()
-    i = 0
-    n = len(pair_flags)
-    while i < n:
-        if pair_flags[i]:
-            forbidden.add(i + 1)
-            i += 2
-        else:
-            i += 1
-    return forbidden
-
-
-def cluster_by_gap(eig_real_parts, pair_flags, mu):
-    """Cluster sorted eigenvalue real parts by relative gap.
+def cluster_by_gap(schur, mu):
+    """Cluster the sorted eigenvalue real parts of an ordered Schur form by
+    relative gap.
 
     A boundary is placed after position ``i`` whenever the consecutive gap
-    reaches ``mu`` times the total range, unless it would fall inside a 2x2
-    conjugate-pair block.  Zero range yields a single cluster.
+    reaches ``mu`` times the total range and ``schur.cuts[i]`` allows a
+    block to end there.  A range at rounding level, at most
+    ``1e3 * eps * ||t||_F`` (the scale of the decoupling guard), yields a
+    single cluster: such gaps come from rounding, not from the spectrum.
 
     Parameters
     ----------
-    eig_real_parts : array_like, shape (n,)
-        Ascending real parts.
-    pair_flags : array_like of bool, shape (n,)
-        True at positions inside a conjugate-pair block.
+    schur : SchurForm
+        Ordered real Schur form, as returned by ``real_schur_ordered``.
     mu : float
         Relative gap threshold in (0, 1).
 
     Returns
     -------
-    Clustering
+    Partition
+        Consecutive clusters of diagonal positions.
+
+    Raises
+    ------
+    ValueError
+        If ``mu`` lies outside (0, 1) or the real parts descend by more
+        than the rounding floor.
     """
-    re = np.asarray(eig_real_parts, dtype=float)
-    flags = np.asarray(pair_flags, dtype=bool)
-    if re.ndim != 1 or re.size < 1:
-        raise ValueError("need at least one real part")
-    if flags.shape != re.shape:
-        raise ValueError("pair_flags must match eig_real_parts")
-    scale = float(np.max(np.abs(re))) if re.size else 0.0
-    # descents at rounding level are tolerated; they carry no gap anyway
-    if np.any(np.diff(re) < -1e-10 * max(scale, 1e-300)):
-        raise ValueError("real parts must be ascending")
     if not 0.0 < mu < 1.0:
         raise ValueError("mu must lie in (0, 1)")
-    n = re.size
+    re = schur.eig_real_parts
+    gaps = np.diff(re)
+    floor = 1e3 * np.finfo(float).eps * np.linalg.norm(schur.t)
+    if np.any(gaps < -floor):
+        raise ValueError("real parts must be ascending")
     rng = re[-1] - re[0]
-    threshold = mu * rng
-    if rng <= 0.0:
-        return Clustering(boundaries=(), threshold_used=threshold)
-    forbidden = _pair_forbidden_boundaries(flags)
-    bounds = tuple(
-        i for i in range(1, n)
-        if re[i] - re[i - 1] >= threshold and i not in forbidden
-    )
-    return Clustering(boundaries=bounds, threshold_used=threshold)
+    if rng <= floor:
+        return Partition((schur.n,))
+    boundaries = np.flatnonzero(schur.cuts & (gaps >= mu * rng)) + 1
+    return Partition(np.diff(np.concatenate(([0], boundaries, [schur.n]))))
 
 
 def partition_equivalent(p, q):

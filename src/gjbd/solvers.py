@@ -88,36 +88,35 @@ def _trivial_solution(a):
     )
 
 
-def _assemble_diagonalizer(schur, boundaries):
+def _assemble_diagonalizer(schur, p):
     # Sylvester decoupling of the ordered Schur factor followed by a per
     # cluster orthonormalization; returns the normalized diagonalizer and
     # the diagonal blocks of inv(w) z w.
-    w_syl, tblocks = block_diagonalize_similarity(schur, boundaries)
-    n = schur.n
-    edges = [0] + sorted(int(b) for b in boundaries) + [n]
+    w_syl, tblocks = block_diagonalize_similarity(schur, p.boundaries())
     cols = []
     gblocks = []
-    for j in range(len(edges) - 1):
-        sl = slice(edges[j], edges[j + 1])
+    for sl, tblock in zip(p.slices(), tblocks):
         u, r = economic_qr(w_syl[:, sl])
         cols.append(u)
-        gblocks.append(np.linalg.solve(r.T, (r @ tblocks[j]).T).T)
+        gblocks.append(np.linalg.solve(r.T, (r @ tblock).T).T)
     w = schur.q @ np.hstack(cols)
     return w, gblocks
 
 
-def eig_decomp_for_partition(z, clustering):
-    """Eigenvalue decomposition of ``z`` grouped by ``clustering``.
+def eig_decomp_for_partition(z, p):
+    """Eigenvalue decomposition of ``z`` grouped by ``p``.
 
-    Computes the ordered real Schur form of ``z``, decouples the clusters by
-    Sylvester solves and orthonormalizes each block of columns, so that
-    ``inv(w) @ z @ w`` is block diagonal and the block diagonal of
-    ``w.T @ w`` is the identity.
+    Computes the ordered real Schur form of ``z``, decouples the clusters of
+    consecutive diagonal positions given by ``p`` by Sylvester solves and
+    orthonormalizes each block of columns, so that ``inv(w) @ z @ w`` is
+    block diagonal and the block diagonal of ``w.T @ w`` is the identity.
 
     Parameters
     ----------
     z : ndarray, shape (n, n)
-    clustering : Clustering
+    p : Partition
+        Cluster sizes in ascending real-part order, with ``p.n == n``; no
+        cluster may end inside a 2x2 conjugate-pair block.
 
     Returns
     -------
@@ -125,20 +124,20 @@ def eig_decomp_for_partition(z, clustering):
     blocks : list of ndarray
     """
     schur = real_schur_ordered(z)
-    return _assemble_diagonalizer(schur, clustering.boundaries)
+    if p.n != schur.n:
+        raise ValueError("partition order must match z")
+    return _assemble_diagonalizer(schur, p)
 
 
 def _combination_solve(a, basis_obj, mu, alpha):
     # shared tail of the greedy and exact solvers: combine the basis with
     # the given coefficients, cluster the spectrum, decouple, and score
-    n = a.n
     z = sum(c * zj for c, zj in zip(alpha, basis_obj.basis))
     schur = real_schur_ordered(z)
-    clustering = cluster_by_gap(schur.eig_real_parts, schur.pair_flags, mu)
-    if not clustering.boundaries:
+    partition = cluster_by_gap(schur, mu)
+    if partition.card == 1:
         return _trivial_solution(a), SolveTrace(z=z, delta=basis_obj.delta)
-    w, _ = _assemble_diagonalizer(schur, clustering.boundaries)
-    partition = clustering.to_partition(n)
+    w, _ = _assemble_diagonalizer(schur, partition)
     cost = cost_ls(a, partition, w)
     solution = Solution(partition=partition, w=w, cost=cost)
     return solution, SolveTrace(z=z, delta=basis_obj.delta)
@@ -229,12 +228,12 @@ def one_step_split_with_trace(a, gamma=1.2):
     z = sum(c * zj for c, zj in zip(alpha, zs))
     schur = real_schur_ordered(z)
     gaps = np.diff(schur.eig_real_parts)
-    gaps[np.diag(schur.t, -1) != 0.0] = -np.inf  # inside a conjugate pair
+    gaps[~schur.cuts] = -np.inf  # inside a conjugate pair
     if np.all(gaps == -np.inf):
         raise UnsplittableError("every gap falls inside a conjugate-pair block")
     best_i = int(np.argmax(gaps)) + 1  # first maximum: earliest index on ties
-    w, _ = _assemble_diagonalizer(schur, [best_i])
     partition = Partition((best_i, n - best_i))
+    w, _ = _assemble_diagonalizer(schur, partition)
     cost = cost_ls(a, partition, w)
     return partition, w, cost, SolveTrace(z=z, delta=basis_obj.delta)
 

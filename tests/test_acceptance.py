@@ -30,7 +30,7 @@ from gjbd.cli import main as cli_main
 from gjbd.datagen import generate_model, nonunique_example
 from gjbd.matkernels import InseparableClustersError, perfect_shuffle, real_schur_ordered
 from gjbd.nullspace import MatrixSet, exact_nullspace
-from gjbd.partition import Clustering, Partition, refines
+from gjbd.partition import Partition, refines
 from gjbd.solvers import (
     Solution,
     SolverConfig,
@@ -210,16 +210,15 @@ def test_criterion_7_kernel_properties():
         znorm = np.linalg.norm(z)
         assert np.linalg.norm(sf.q @ sf.t @ sf.q.T - z) <= 1e-10 * znorm
         assert np.all(np.diff(sf.eig_real_parts) >= -1e-12 * znorm)
-        forbidden = {s + 1 for s in sf.pair_starts()}
-        allowed = [i for i in range(1, n) if i not in forbidden]
+        allowed = (np.flatnonzero(sf.cuts) + 1).tolist()
         if allowed:
             k = int(rng.integers(1, min(3, len(allowed)) + 1))
             marks = sorted(rng.choice(allowed, size=k, replace=False).tolist())
+            p = Partition(np.diff([0, *marks, n]))
             try:
-                w, _ = eig_decomp_for_partition(z, Clustering(tuple(marks), 0.0))
+                w, _ = eig_decomp_for_partition(z, p)
             except InseparableClustersError:
                 continue
-            p = Clustering(tuple(marks), 0.0).to_partition(n)
             d = np.linalg.solve(w, z @ w)
             off = d - bdiag(d, p)
             kappa = np.linalg.cond(w)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import gjbd.solvers
 from gjbd.cli import (
     EXIT_CHECK_FAILED,
     EXIT_NUMERICAL,
@@ -13,6 +14,7 @@ from gjbd.cli import (
     matrix_set_document,
 )
 from gjbd.datagen import nonunique_example
+from gjbd.matkernels import InseparableClustersError
 from gjbd.partition import Partition
 
 
@@ -112,10 +114,14 @@ class TestSolve:
         assert run("solve", inp, "--gamma", 0.5) == EXIT_PARSE
 
     @pytest.mark.parametrize("method", ["greedy", "exact"])
-    def test_inseparable_clusters_exit_code(self, tmp_path, capsys, method):
-        # an SNR-0 single-matrix set whose random combination has
-        # inseparable clusters
-        inp = synth(tmp_path, "set.json", "2,1,1", 1, 0, 215)
+    def test_inseparable_clusters_exit_code(self, tmp_path, capsys, monkeypatch, method):
+        # a decoupling that cannot separate two clusters is a numerical
+        # failure, not malformed input
+        def inseparable(schur, boundaries):
+            raise InseparableClustersError(0, 1)
+
+        monkeypatch.setattr(gjbd.solvers, "block_diagonalize_similarity", inseparable)
+        inp = synth(tmp_path, "set.json", "3,3,3", 4, "inf", 215)
         out = tmp_path / "res.json"
         code = run("solve", inp, "--method", method, "--seed", 215, "--out", out)
         assert code == EXIT_NUMERICAL

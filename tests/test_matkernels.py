@@ -57,11 +57,11 @@ class TestRealSchurOrdered:
     def test_symmetric_two_by_two(self):
         sf = real_schur_ordered(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert np.allclose(sf.eig_real_parts, [-1.0, 1.0])
-        assert not sf.pair_flags.any()
+        assert sf.cuts.all()
 
     def test_rotation_keeps_pair(self):
         sf = real_schur_ordered(np.array([[0.0, -1.0], [1.0, 0.0]]))
-        assert sf.pair_flags.all()
+        assert not sf.cuts.any()
         assert np.allclose(sf.eig_real_parts, [0.0, 0.0])
         assert abs(sf.t[1, 0]) > 0.5  # one genuine 2x2 block
 
@@ -86,9 +86,8 @@ class TestRealSchurOrdered:
             z = rng.standard_normal((8, 8))
             sf = real_schur_ordered(z)
             scale = np.linalg.norm(sf.t)
-            for start in sf.pair_starts():
+            for start in np.flatnonzero(~sf.cuts):
                 found += 1
-                assert sf.pair_flags[start] and sf.pair_flags[start + 1]
                 assert sf.eig_real_parts[start] == sf.eig_real_parts[start + 1]
                 block = sf.t[start:start + 2, start:start + 2]
                 # standardized: equal diagonal, genuinely complex pair
@@ -152,8 +151,7 @@ class TestBlockDiagonalizeSimilarity:
         n = int(rng.integers(3, 13))
         z = rng.standard_normal((n, n))
         sf = real_schur_ordered(z)
-        forbidden = {s + 1 for s in sf.pair_starts()}
-        allowed = [i for i in range(1, n) if i not in forbidden]
+        allowed = (np.flatnonzero(sf.cuts) + 1).tolist()
         if not allowed:
             return
         k = int(rng.integers(1, min(3, len(allowed)) + 1))

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from gjbd.datagen import generate_model
+from gjbd.matkernels import perfect_shuffle
 from gjbd.nullspace import (
     MatrixSet,
     basis_excluding_identity,
@@ -64,6 +65,18 @@ class TestBuildStackedOperator:
         out = build_stacked_operator(a) @ vec(z)
         want = np.concatenate([vec(mat @ z - z.T @ mat) for mat in a.mats])
         assert np.allclose(out, want, atol=1e-13)
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (3, 4), (20, 9), (2, 13)])
+    def test_equals_kronecker_formula(self, m, n):
+        # reference: one Kronecker pair per matrix, the second with its
+        # columns permuted by the perfect shuffle, stacked matrix by matrix
+        rng = np.random.default_rng(100 + n)
+        a = MatrixSet(rng.standard_normal((m, n, n)))
+        eye = np.eye(n)
+        shuffle = perfect_shuffle(n)
+        want = np.vstack([np.kron(eye, mat) - np.kron(mat.T, eye)[:, shuffle]
+                          for mat in a.mats])
+        assert np.array_equal(build_stacked_operator(a), want)
 
 
 class TestResidual:

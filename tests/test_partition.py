@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gjbd.matkernels import SchurForm, real_schur_ordered
 from gjbd.partition import (
     Partition,
     block_permutation,
@@ -26,61 +27,72 @@ class TestPartition:
             Partition((2, 0))
 
 
+def schur_with(re, pair_starts=()):
+    """Ordered Schur form with diagonal ``re`` and a 2x2 conjugate-pair
+    block (superdiagonal 1, subdiagonal -1) starting at each index in
+    ``pair_starts``."""
+    t = np.diag(np.asarray(re, dtype=float))
+    for s in pair_starts:
+        t[s, s + 1], t[s + 1, s] = 1.0, -1.0
+    return SchurForm(q=np.eye(t.shape[0]), t=t)
+
+
 class TestClusterByGap:
     def test_two_pairs_split_in_the_middle(self):
-        re = np.array([0.0, 0.01, 1.0, 1.01])
-        flags = np.zeros(4, dtype=bool)
-        c = cluster_by_gap(re, flags, mu=1.0 / 24.0)
-        assert c.boundaries == (2,)
-        assert c.to_partition(4).sizes == (2, 2)
+        p = cluster_by_gap(schur_with([0.0, 0.01, 1.0, 1.01]), mu=1.0 / 24.0)
+        assert p.boundaries() == (2,)
+        assert p.sizes == (2, 2)
 
     def test_constant_real_parts_single_cluster(self):
-        re = np.ones(5)
-        c = cluster_by_gap(re, np.zeros(5, dtype=bool), mu=0.3)
-        assert c.boundaries == ()
-        assert c.to_partition(5).sizes == (5,)
+        p = cluster_by_gap(schur_with(np.ones(5)), mu=0.3)
+        assert p.boundaries() == ()
+        assert p.sizes == (5,)
 
     def test_pair_atomicity_suppresses_boundary(self):
-        re = np.array([0.0, 0.0, 1.0, 1.0])
-        flags = np.array([False, False, True, True])
-        c = cluster_by_gap(re, flags, mu=0.1)
-        assert c.boundaries == (2,)
+        p = cluster_by_gap(schur_with([0.0, 0.0, 1.0, 1.0], [2]), mu=0.1)
+        assert p.boundaries() == (2,)
 
     def test_pair_block_never_split(self):
-        re = np.array([0.0, 0.5, 0.5, 1.0])
-        flags = np.array([False, True, True, False])
-        c = cluster_by_gap(re, flags, mu=0.2)
-        assert 2 not in c.boundaries
+        # the pair's diagonal entries differ (a 2x2 block that is not
+        # standardized), so only the cut mask keeps the gap inside it out
+        p = cluster_by_gap(schur_with([0.0, 0.25, 0.75, 1.0], [1]), mu=0.2)
+        assert p.boundaries() == (1, 3)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_sizes_sum_and_atomicity(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 15))
         re = np.sort(rng.standard_normal(n))
-        flags = np.zeros(n, dtype=bool)
+        starts = []
         i = 0
         while i < n - 1:
             if rng.random() < 0.3:
                 re[i + 1] = re[i]
-                flags[i:i + 2] = True
+                starts.append(i)
                 i += 2
             else:
                 i += 1
-        c = cluster_by_gap(re, flags, mu=1.0 / (8 * max(n - 1, 1)))
-        p = c.to_partition(n)
+        p = cluster_by_gap(schur_with(re, starts), mu=1.0 / (8 * max(n - 1, 1)))
         assert p.n == n
-        edges = set(c.boundaries)
-        j = 0
-        while j < n:
-            if flags[j]:
-                assert j + 1 not in edges
-                j += 2
-            else:
-                j += 1
+        edges = set(p.boundaries())
+        assert all(s + 1 not in edges for s in starts)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_double_pair_real_parts_at_rounding_level(self, seed):
+        # Q (I_2 kron [[0, w], [-w, 0]]) Q.T has the eigenvalues +-iw twice, so
+        # its real parts are equal in exact arithmetic; the ordered Schur form
+        # spreads them by a few ulps, which must not count as a gap
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.5, 2.0)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        z = q @ np.kron(np.eye(2), [[0.0, w], [-w, 0.0]]) @ q.T
+        schur = real_schur_ordered(z)
+        p = cluster_by_gap(schur, mu=1.0 / 24.0)
+        assert p.sizes == (4,)
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
-            cluster_by_gap([1.0, 0.0], [False, False], 0.5)
+            cluster_by_gap(schur_with([1.0, 0.0]), 0.5)
 
 
 class TestPartitionEquivalent:

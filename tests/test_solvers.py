@@ -5,7 +5,7 @@ from gjbd.analysis import bdiag, cost_ls, performance_index, verify_offblock_bou
 from gjbd.datagen import generate_model, nonunique_example
 from gjbd.matkernels import InseparableClustersError
 from gjbd.nullspace import MatrixSet
-from gjbd.partition import Clustering, Partition, refines
+from gjbd.partition import Partition, partition_equivalent, refines
 from gjbd.solvers import (
     SolverConfig,
     UnsplittableError,
@@ -32,7 +32,7 @@ def check_solution_invariants(a, solution, tol=1e-12):
 class TestEigDecompForPartition:
     def test_block_diagonal_input(self):
         z = np.diag([1.0, 1.0, 2.0])
-        w, blocks = eig_decomp_for_partition(z, Clustering(boundaries=(2,), threshold_used=0.0))
+        w, blocks = eig_decomp_for_partition(z, Partition((2, 1)))
         assert np.allclose(np.abs(w), np.eye(3))
         assert len(blocks) == 2
         got = np.linalg.solve(w, z @ w)
@@ -40,7 +40,7 @@ class TestEigDecompForPartition:
 
     def test_hand_example_columns(self):
         z = np.array([[1.0, 5.0], [0.0, 2.0]])
-        w, blocks = eig_decomp_for_partition(z, Clustering(boundaries=(1,), threshold_used=0.0))
+        w, blocks = eig_decomp_for_partition(z, Partition((1, 1)))
         # columns come from orthonormalizing [1, 0] and [5, 1]
         assert np.allclose(np.abs(w[:, 0]), [1.0, 0.0])
         want = np.array([5.0, 1.0]) / np.sqrt(26.0)
@@ -52,7 +52,11 @@ class TestEigDecompForPartition:
     def test_coincident_spectra_error(self):
         z = np.array([[1.0, 3.0], [0.0, 1.0]])
         with pytest.raises(InseparableClustersError):
-            eig_decomp_for_partition(z, Clustering(boundaries=(1,), threshold_used=0.0))
+            eig_decomp_for_partition(z, Partition((1, 1)))
+
+    def test_rejects_partition_of_other_order(self):
+        with pytest.raises(ValueError):
+            eig_decomp_for_partition(np.diag([1.0, 2.0, 3.0]), Partition((1, 1)))
 
 
 class TestGreedySolve:
@@ -221,6 +225,55 @@ class TestExactSolve:
             assert solution.cost <= 1e-10 * inst.a.total_sq_norm()
             pi = performance_index(inst.v_inv(), solution.w, p, solution.partition)
             assert pi is not None and pi <= 1e-8
+
+
+@pytest.mark.parametrize("method", ["greedy", "exact"])
+def test_rounding_level_real_parts_give_one_block(method):
+    # the random combination of this SNR-0 single-matrix set has a double
+    # complex pair, so its real parts differ only by rounding; a gap between
+    # them is no cluster boundary, so the solve is trivial instead of an
+    # inseparable decoupling
+    a = generate_model(Partition((2, 1, 1)), 1, 0, 215).a
+    if method == "greedy":
+        solution = greedy_solve(a, SolverConfig(seed=215))
+    else:
+        solution = exact_solve(a, seed=215)
+    assert solution.partition.sizes == (4,)
+    assert solution.no_split
+
+
+def _congruence(rng, a):
+    # S = U diag(1 .. 1e2) V.T, so cond(S) = 1e2
+    n = a.n
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = (u * np.geomspace(1.0, 1e2, n)) @ v.T
+    return MatrixSet(np.array([s.T @ mat @ s for mat in a.mats]))
+
+
+_INVARIANCES = {
+    "congruence": _congruence,
+    "scale-up": lambda rng, a: MatrixSet(1e3 * a.mats),
+    "scale-down": lambda rng, a: MatrixSet(1e-3 * a.mats),
+    "permute": lambda rng, a: MatrixSet(a.mats[rng.permutation(a.m)]),
+}
+
+
+class TestExactInvariance:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("sizes", [(3, 3, 3), (1, 2, 3, 4), (2,) * 8, (2, 2, 1)],
+                             ids=lambda sizes: ",".join(map(str, sizes)))
+    def test_partition_invariant(self, sizes, seed):
+        # an exact joint block diagonalization survives congruence, scaling
+        # and reordering of the matrices, so the exact solve finds the same
+        # blocks, as many as the truth has
+        p = Partition(sizes)
+        a = generate_model(p, m=4, snr=np.inf, seed=seed).a
+        base = exact_solve(a, seed=seed).partition
+        for name, transform in _INVARIANCES.items():
+            got = exact_solve(transform(np.random.default_rng(seed), a), seed=seed).partition
+            assert partition_equivalent(got, base), name
+            assert got.card == p.card, name
 
 
 class TestSolverConfig:
