@@ -42,10 +42,13 @@ def cluster_by_gap(schur, mu):
     relative gap.
 
     A boundary is placed after position ``i`` whenever the consecutive gap
-    reaches ``mu`` times the total range and ``schur.cuts[i]`` allows a
-    block to end there.  A range at rounding level, at most
-    ``1e3 * eps * ||t||_F`` (the scale of the decoupling guard), yields a
-    single cluster: such gaps come from rounding, not from the spectrum.
+    reaches ``mu`` times the range ``max - min`` of the real parts and
+    ``schur.cuts[i]`` allows a block to end there.  A range at rounding
+    level, at most ``1e3 * eps * ||t||_F`` (the scale of the decoupling
+    guard), yields a single cluster: such gaps come from rounding, not from
+    the spectrum.  The reordering of near-defective eigenvalues can leave
+    descents far above that level; one below ``mu`` times the range is
+    accepted, because a gap that small never places a boundary.
 
     Parameters
     ----------
@@ -62,19 +65,18 @@ def cluster_by_gap(schur, mu):
     Raises
     ------
     ValueError
-        If ``mu`` lies outside (0, 1) or the real parts descend by more
-        than the rounding floor.
+        If ``mu`` lies outside (0, 1) or the real parts descend by ``mu``
+        times their range or more.
     """
     if not 0.0 < mu < 1.0:
         raise ValueError("mu must lie in (0, 1)")
     re = schur.eig_real_parts
     gaps = np.diff(re)
-    floor = 1e3 * np.finfo(float).eps * np.linalg.norm(schur.t)
-    if np.any(gaps < -floor):
-        raise ValueError("real parts must be ascending")
-    rng = re[-1] - re[0]
-    if rng <= floor:
+    rng = re.max() - re.min()
+    if rng <= 1e3 * np.finfo(float).eps * np.linalg.norm(schur.t):
         return Partition((schur.n,))
+    if np.any(gaps <= -mu * rng):
+        raise ValueError("real parts must be ascending")
     boundaries = np.flatnonzero(schur.cuts & (gaps >= mu * rng)) + 1
     return Partition(np.diff(np.concatenate(([0], boundaries, [schur.n]))))
 

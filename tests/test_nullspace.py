@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,6 +8,9 @@ from gjbd.datagen import generate_model
 from gjbd.matkernels import perfect_shuffle
 from gjbd.nullspace import (
     MatrixSet,
+    _apply_k,
+    _apply_kt,
+    _gram,
     basis_excluding_identity,
     build_stacked_operator,
     delta_nullspace,
@@ -77,6 +82,80 @@ class TestBuildStackedOperator:
         want = np.vstack([np.kron(eye, mat) - np.kron(mat.T, eye)[:, shuffle]
                           for mat in a.mats])
         assert np.array_equal(build_stacked_operator(a), want)
+
+
+KERNEL_SHAPES = [(1, 1), (1, 2), (3, 4), (20, 9), (2, 13)]
+
+
+class TestOperatorKernels:
+    """The solvers' Gram matrix and K-products against the dense operator."""
+
+    @pytest.mark.parametrize("m, n", KERNEL_SHAPES)
+    def test_gram_equals_dense(self, m, n):
+        rng = np.random.default_rng(100 + n)
+        a = MatrixSet(rng.standard_normal((m, n, n)))
+        ell = build_stacked_operator(a)
+        want = ell.T @ ell
+        assert np.linalg.norm(_gram(a) - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("m, n", KERNEL_SHAPES)
+    def test_products_equal_dense(self, m, n):
+        rng = np.random.default_rng(200 + n)
+        a = MatrixSet(rng.standard_normal((m, n, n)))
+        ell = build_stacked_operator(a)
+        v = rng.standard_normal((n * n, 3))
+        y = rng.standard_normal((m * n * n, 3))
+        assert np.allclose(_apply_k(a, v), ell @ v, rtol=0.0, atol=1e-12)
+        assert np.allclose(_apply_kt(a, y), ell.T @ y, rtol=0.0, atol=1e-12)
+
+
+def dense_dims(a, sigma, gamma):
+    """Dimensions of ``delta_nullspace(a, gamma)`` and ``exact_nullspace(a)``
+    by their thresholds, applied to ``sigma`` from the dense SVD."""
+    n2 = a.n * a.n
+    if sigma[0] == 0.0:
+        return n2, n2
+    tol = exact_rank_tolerance(a, sigma[0])
+    second_smallest = sigma[n2 - 2]
+    delta = tol if second_smallest <= tol else gamma * second_smallest
+    return int(np.sum(sigma < delta)), int(np.sum(sigma < tol))
+
+
+FUZZ_KINDS = ["skew", "symmetric", "general", "model"]
+FUZZ_SETS = 300
+
+
+def fuzz_set(rng, kind):
+    n = int(rng.integers(2, 9))
+    m = int(rng.integers(1, 5))
+    if kind == "model":
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(int(rng.integers(1, n - sum(sizes) + 1)))
+        snr = float(rng.choice([np.inf, 60.0, 20.0]))
+        return generate_model(Partition(tuple(sizes)), m, snr, int(rng.integers(1 << 30))).a
+    x = rng.standard_normal((m, n, n))
+    if kind == "skew":
+        x = x - x.transpose(0, 2, 1)
+    elif kind == "symmetric":
+        x = x + x.transpose(0, 2, 1)
+    return MatrixSet(x)
+
+
+@pytest.mark.parametrize("kind", FUZZ_KINDS)
+def test_matches_dense_svd(kind):
+    # the dimensions equal the dense SVD's, and every singular value up to
+    # 1.5 * delta agrees with it at dense-SVD precision, so none of them
+    # may come from the coarser square roots of the Gram eigenvalues
+    rng = np.random.default_rng(FUZZ_KINDS.index(kind))
+    for _ in range(FUZZ_SETS):
+        a = fuzz_set(rng, kind)
+        sigma = np.linalg.svd(build_stacked_operator(a), compute_uv=False)
+        got = (delta_nullspace(a, 1.2), exact_nullspace(a))
+        for b, dim in zip(got, dense_dims(a, sigma, 1.2)):
+            assert b.dim == dim
+            low = sigma <= 1.5 * b.delta
+            assert np.all(np.abs(b.sigma[low] - sigma[low]) <= 1e-13 * sigma[0])
 
 
 class TestResidual:
@@ -152,6 +231,41 @@ class TestDeltaNullspace:
             diag = np.abs(np.diag(r_fac))
             qr_rank = int(np.sum(diag > exact_rank_tolerance(a, diag.max())))
             assert ell.shape[1] - qr_rank == b.dim
+
+    @pytest.mark.parametrize("sizes, snr, seed", [
+        ((1, 2, 3, 4), 60.0, [0, 0]),
+        ((1, 2, 3, 4), 60.0, [0, 1]),
+        ((3, 3, 3), 80.0, [0, 7]),
+    ])
+    def test_identity_found_at_rank_tolerance(self, sizes, snr, seed):
+        # the null sigma must come out far below the rank tolerance of about
+        # 4e-13 * sigma_max; the rounding of forming K.T K leaves the lowest
+        # Gram eigenvectors too coarse for that unless they are refined
+        a = generate_model(Partition(sizes), 20, snr, seed).a
+        b = exact_nullspace(a)
+        assert b.dim == 1
+        assert b.includes_identity_direction
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_extreme_scale(self, scale):
+        # the null space of K ignores the scale of the A_i, but the squares
+        # in K.T K would underflow or overflow at these scales
+        inst = generate_model(Partition((2, 3)), m=4, snr=np.inf, seed=0)
+        a = MatrixSet(scale * inst.a.mats)
+        for b in (delta_nullspace(a, 1.2), exact_nullspace(a)):
+            assert b.dim == 2
+            assert b.includes_identity_direction
+
+    def test_memory_stays_below_dense_operator(self):
+        # the dense operator alone is 20 * 32**2 * 32**2 doubles, 168 MB
+        inst = generate_model(Partition((8, 8, 8, 8)), 20, 40.0, 0)
+        tracemalloc.start()
+        try:
+            delta_nullspace(inst.a, 1.2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
 
 class TestBasisExcludingIdentity:

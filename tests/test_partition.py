@@ -94,6 +94,15 @@ class TestClusterByGap:
         with pytest.raises(ValueError):
             cluster_by_gap(schur_with([1.0, 0.0]), 0.5)
 
+    def test_rejects_descent_of_mu_times_range(self):
+        # a descent of 0.25 in a range of 2 reaches mu * range at mu = 1/8
+        with pytest.raises(ValueError):
+            cluster_by_gap(schur_with([0.0, 1.0, 0.75, 2.0]), mu=0.125)
+
+    def test_descent_below_mu_times_range_is_accepted(self):
+        p = cluster_by_gap(schur_with([0.0, 1.0, 1.0 - 1e-9, 2.0]), mu=0.1)
+        assert p.sizes == (1, 2, 1)
+
 
 class TestPartitionEquivalent:
     def test_permutation(self):

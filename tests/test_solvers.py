@@ -174,6 +174,24 @@ class TestExactSolve:
         assert solution.partition.sizes == (2, 2)
         assert solution.cost <= 1e-20 * a.total_sq_norm()
 
+    @pytest.mark.parametrize("coeffs, seed", [
+        (([1.0, 0.3, -2.0], [0.5, 1.0, 1.7]), 178),
+        (([1.0, 0.3, -2.0], [0.5, 1.0, 1.7]), 232),
+        (([1.0, -2.0], [0.7, 1.1]), 177),
+        (([1.0, -2.0], [0.7, 1.1]), 268),
+        (([1.0, -2.0], [0.7, 1.1]), 279),
+        (([1.0, -2.0], [0.7, 1.1]), 297),
+        (([1.0, -0.4, 2.2], [0.8, 1.5, -1.0]), 294),
+    ])
+    def test_nonunique_fixture_near_defective_reordering(self, coeffs, seed):
+        # the null elements of this fixture have near-defective eigenvalues,
+        # whose reordering leaves real parts that descend by about 4e-9;
+        # such a descent is far below mu times the range and cuts nothing
+        a, _ = nonunique_example(*coeffs)
+        solution = exact_solve(a, seed=seed)
+        assert solution.partition.sizes == (2, 2)
+        assert solution.cost <= 1e-20 * a.total_sq_norm()
+
     def test_identity_set_full_cardinality(self):
         a = MatrixSet(np.eye(4)[None])
         solution = exact_solve(a, seed=2)
