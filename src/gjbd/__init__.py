@@ -55,10 +55,7 @@ from .partition import (
     Partition,
     block_permutation,
     cluster_by_gap,
-    is_refinement,
-    iter_refines,
     partition_equivalent,
-    refines,
 )
 from .solvers import (
     Solution,
@@ -110,8 +107,6 @@ __all__ = [
     "generate_model",
     "greedy_solve",
     "greedy_solve_with_trace",
-    "is_refinement",
-    "iter_refines",
     "largest_principal_angle",
     "nonunique_example",
     "normalize",
@@ -123,7 +118,6 @@ __all__ = [
     "perfect_shuffle",
     "performance_index",
     "real_schur_ordered",
-    "refines",
     "residual",
     "sep_lower",
     "symmetric_orthogonalize",

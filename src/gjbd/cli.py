@@ -26,7 +26,7 @@ from .analysis import (
 from .datagen import generate_model
 from .matkernels import NumericalError
 from .nullspace import MatrixSet
-from .partition import Partition, is_refinement
+from .partition import Partition, partition_equivalent
 from .solvers import (
     Solution,
     SolverConfig,
@@ -154,11 +154,12 @@ def matrix_set_document(a, v_inv=None, p_true=None):
     return doc
 
 
-def _score(a, v_inv, p_true, solution):
-    # optional scoring block for inputs that carry the generator's truth
+def _score(v_inv, p_true, solution):
+    # optional scoring block for inputs that carry the generator's truth: an
+    # answer is correct when it has the true block sizes
     if v_inv is None or p_true is None:
         return {}
-    correct = is_refinement(solution.partition, p_true)
+    correct = partition_equivalent(solution.partition, p_true)
     pi = performance_index(v_inv, solution.w, p_true, solution.partition)
     return {"correct": correct, "pi": pi if pi is not None else float("nan")}
 
@@ -192,7 +193,7 @@ def cmd_solve(args):
         "cost": solution.cost,
         "no_split": solution.no_split,
     }
-    doc.update(_score(a, v_inv, p_true, solution))
+    doc.update(_score(v_inv, p_true, solution))
     _write_json(doc, args.out)
     return EXIT_TRIVIAL if solution.no_split else EXIT_OK
 
@@ -216,15 +217,14 @@ def _bench_trial(p, m, snr, base_seed, trial, methods, timing):
         start = time.perf_counter()
         solution, _ = _solve_with(method, a, cfg)
         elapsed_ms = (time.perf_counter() - start) * 1e3 if timing else 0.0
-        correct = is_refinement(solution.partition, p)
-        pi = performance_index(inst.v_inv(), solution.w, p, solution.partition)
+        score = _score(inst.v_inv(), p, solution)
         rows.append({
             "snr": snr,
             "trial": trial,
             "method": method,
             "card": solution.partition.card,
-            "correct": int(correct),
-            "pi": pi if pi is not None else float("nan"),
+            "correct": int(score["correct"]),
+            "pi": score["pi"],
             "cost": solution.cost,
             "runtime_ms": elapsed_ms,
         })
@@ -311,9 +311,7 @@ def _load_result(path, n):
         raise InputError(f"{path}: malformed result document") from exc
     if partition.n != n:
         raise InputError(f"{path}: result partition does not sum to n")
-    solution = Solution(partition=partition, w=w, cost=cost,
-                        no_split=bool(doc.get("no_split", False)))
-    return solution, method, params
+    return Solution(partition=partition, w=w, cost=cost), method, params
 
 
 def cmd_check(args):

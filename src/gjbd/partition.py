@@ -1,6 +1,7 @@
-"""Block-structure arithmetic: partitions, gap clustering of the eigenvalue
-real parts of an ordered Schur form, block permutations, and the grouping
-test that scores a computed partition against a reference one."""
+"""Block-structure arithmetic: partitions and their block masks, gap
+clustering of the eigenvalue real parts of an ordered Schur form, block
+permutations, and the test that a computed partition has the block sizes
+of a reference one."""
 
 from dataclasses import dataclass
 
@@ -35,6 +36,12 @@ class Partition:
         """Column/row slice of each block."""
         edges = [0] + list(np.cumsum(self.sizes))
         return [slice(edges[j], edges[j + 1]) for j in range(self.card)]
+
+    @property
+    def mask(self):
+        """(n, n) bool array, True exactly on the diagonal blocks."""
+        labels = np.repeat(np.arange(self.card), self.sizes)
+        return labels[:, None] == labels[None, :]
 
 
 def cluster_by_gap(schur, mu):
@@ -82,7 +89,8 @@ def cluster_by_gap(schur, mu):
 
 
 def partition_equivalent(p, q):
-    """True when the two partitions agree up to block reordering."""
+    """True when the two partitions agree up to block reordering: the
+    meaning of a correct answer when ``q`` is the true partition."""
     return p.card == q.card and sorted(p.sizes) == sorted(q.sizes)
 
 
@@ -115,60 +123,3 @@ def block_permutation(p, perm):
         col += size
     return out
 
-
-def iter_refines(p_hat, p_true):
-    """Yield assignments of ``p_hat`` blocks into ``p_true.card`` groups
-    whose per-group size sums reproduce ``p_true``, in a fixed order.
-
-    Each map ``g`` has ``g[j]`` = the group of the j-th block of ``p_hat``;
-    an empty iteration means ``p_hat`` is not a correct refinement.  The
-    number of maps can grow combinatorially with many equal-size blocks, so
-    consumers should iterate lazily.
-    """
-    if p_hat.n != p_true.n:
-        return
-    sizes = p_hat.sizes
-    t_hat = len(sizes)
-    assignment = [-1] * t_hat
-
-    def assign(block, open_sums):
-        if block == t_hat:
-            yield tuple(assignment)
-            return
-        size = sizes[block]
-        for g, room in enumerate(open_sums):
-            if size <= room:
-                assignment[block] = g
-                open_sums[g] -= size
-                yield from assign(block + 1, open_sums)
-                open_sums[g] += size
-        assignment[block] = -1
-
-    yield from assign(0, list(p_true.sizes))
-
-
-def refines(p_hat, p_true):
-    """All assignments of ``p_hat`` blocks into ``p_true.card`` groups whose
-    per-group size sums reproduce ``p_true``.
-
-    Each returned map ``g`` has ``g[j]`` = the group of the j-th block of
-    ``p_hat``; an empty result means ``p_hat`` is not a correct refinement.
-    Use :func:`iter_refines` or :func:`is_refinement` when the full list is
-    not needed; it can be combinatorially large.
-
-    Parameters
-    ----------
-    p_hat : Partition
-    p_true : Partition
-
-    Returns
-    -------
-    list of tuple of int
-    """
-    return list(iter_refines(p_hat, p_true))
-
-
-def is_refinement(p_hat, p_true):
-    """True when at least one size-consistent grouping of ``p_hat`` into
-    ``p_true`` exists, without materializing all of them."""
-    return next(iter_refines(p_hat, p_true), None) is not None

@@ -36,12 +36,16 @@ class UnsplittableError(RuntimeError):
 @dataclass(frozen=True)
 class Solution:
     """A computed diagonalization: partition, normalized diagonalizer and
-    the off-block-diagonal cost; ``no_split`` marks the trivial fallback."""
+    the off-block-diagonal cost."""
 
     partition: Partition
     w: np.ndarray
     cost: float
-    no_split: bool = False
+
+    @property
+    def no_split(self):
+        """True for the trivial one-block answer."""
+        return self.partition.card == 1
 
 
 @dataclass(frozen=True)
@@ -83,9 +87,7 @@ class SolveTrace:
 
 
 def _trivial_solution(a):
-    return Solution(
-        partition=Partition((a.n,)), w=np.eye(a.n), cost=0.0, no_split=True
-    )
+    return Solution(partition=Partition((a.n,)), w=np.eye(a.n), cost=0.0)
 
 
 def _assemble_diagonalizer(schur, p):
@@ -330,9 +332,4 @@ def conservative_solve(a, cfg=None):
             _propose_split(w[:, col0:mid], a, cfg.gamma),
             _propose_split(w[:, mid:col1], a, cfg.gamma),
         ]
-    return Solution(
-        partition=Partition(tuple(sizes)),
-        w=w,
-        cost=cost,
-        no_split=(len(sizes) == 1),
-    )
+    return Solution(partition=Partition(tuple(sizes)), w=w, cost=cost)

@@ -8,9 +8,13 @@ by pilot runs of this implementation (seeds 0..49, 2026-08):
 
     conservative solver, 50 trials per SNR, m = 20
     case 1 (n=9, blocks 3,3,3):   median PI  7.2e-2, 6.3e-3, 6.3e-4, 6.3e-5
-                                  correct rate 1.0 at every SNR
+                                  correct rate 0.00, 0.54, 0.92, 0.98
     case 2 (n=10, blocks 1,2,3,4): median PI 1.1e-1, 8.6e-3, 8.7e-4, 8.7e-5
-                                  correct rate 1.0 at every SNR
+                                  correct rate 0.00, 0.42, 0.84, 0.96
+
+An answer is correct when its block sizes equal the true ones up to order
+(``partition_equivalent``); an answer whose blocks do not group into the true
+ones scores the worst PI, pi / 2.
 """
 
 import numpy as np
@@ -30,7 +34,7 @@ from gjbd.cli import main as cli_main
 from gjbd.datagen import generate_model, nonunique_example
 from gjbd.matkernels import InseparableClustersError, perfect_shuffle, real_schur_ordered
 from gjbd.nullspace import MatrixSet, exact_nullspace
-from gjbd.partition import Partition, refines
+from gjbd.partition import Partition, partition_equivalent
 from gjbd.solvers import (
     Solution,
     SolverConfig,
@@ -74,7 +78,7 @@ def test_criterion_1_exact_recovery():
                 "consv": conservative_solve(inst.a, SolverConfig(epsilon=epsilon)),
             }
             for method, sol in solutions.items():
-                assert refines(sol.partition, p), (case, trial, method, sol.partition)
+                assert partition_equivalent(sol.partition, p), (case, trial, method, sol.partition)
                 assert sol.cost <= 1e-16 * scale, (case, trial, method, sol.cost)
                 pi = performance_index(inst.v_inv(), sol.w, p, sol.partition)
                 assert pi is not None and pi <= 1e-8, (case, trial, method, pi)
@@ -176,12 +180,10 @@ def test_criterion_6_trend_reproduction():
             for trial in range(trials):
                 inst = generate_model(p, m=20, snr=snr, seed=trial)
                 sol = conservative_solve(inst.a, cfg)
-                if refines(sol.partition, p):
-                    correct += 1
-                    pi = performance_index(inst.v_inv(), sol.w, p, sol.partition)
-                    pis.append(pi if pi is not None else np.pi / 2)
-                else:
-                    pis.append(np.pi / 2)  # failed runs score worst case
+                correct += partition_equivalent(sol.partition, p)
+                pi = performance_index(inst.v_inv(), sol.w, p, sol.partition)
+                # PI where the answer refines the truth, worst case otherwise
+                pis.append(pi if pi is not None else np.pi / 2)
             medians.append(float(np.median(pis)))
             if snr == 80.0:
                 rate_at_80 = correct / trials

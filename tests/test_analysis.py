@@ -15,8 +15,23 @@ from gjbd.analysis import (
 from gjbd.datagen import generate_model, nonunique_example
 from gjbd.matkernels import largest_principal_angle
 from gjbd.nullspace import MatrixSet
-from gjbd.partition import Partition, block_permutation, iter_refines
+from gjbd.partition import Partition, block_permutation
 from gjbd.solvers import SolverConfig, Solution, greedy_solve_with_trace
+
+
+def all_groupings(hat_sizes, room):
+    # brute-force reference for the performance index: every assignment of
+    # the recovered blocks to the true ones whose sizes add up, as tuples g
+    # with g[j] the true block that recovered block j joins
+    if not hat_sizes:
+        yield ()
+        return
+    size = hat_sizes[0]
+    for k, left in enumerate(room):
+        if size <= left:
+            rest_room = room[:k] + (left - size,) + room[k + 1:]
+            for rest in all_groupings(hat_sizes[1:], rest_room):
+                yield (k,) + rest
 
 
 class TestBdiagOffbdiag:
@@ -65,6 +80,31 @@ class TestCostLS:
             q[sl, sl], _ = np.linalg.qr(rng.standard_normal((k, k)))
         base = cost_ls(a, p, w)
         assert abs(cost_ls(a, p, w @ q) - base) <= 1e-12 * max(base, 1.0)
+
+    @pytest.mark.parametrize("sizes", [(2, 3, 4), (1, 1, 2, 1, 3, 1), (9,)],
+                             ids=["correct", "over-split", "single-block"])
+    def test_matches_per_matrix_reference(self, sizes):
+        rng = np.random.default_rng(16)
+        inst = generate_model(Partition((2, 3, 4)), m=6, snr=40, seed=16)
+        p = Partition(sizes)
+        for _ in range(5):
+            w = rng.standard_normal((9, 9))
+            ref = 0.0
+            for mat in inst.a.mats:
+                off = w.T @ mat @ w
+                for sl in p.slices():
+                    off[sl, sl] = 0.0
+                ref += float(np.sum(off ** 2))
+            assert abs(cost_ls(inst.a, p, w) - ref) <= 1e-14 * ref
+
+    def test_block_diagonal_set_is_exactly_zero(self):
+        # summing the off-block entries directly keeps an exact solve at 0.0;
+        # the total minus the block diagonal part would leave rounding behind
+        rng = np.random.default_rng(17)
+        p = Partition((1, 3, 2, 4))
+        mats = rng.standard_normal((5, 10, 10)) * 10.0 ** rng.uniform(-3, 3, (5, 10, 10))
+        a = MatrixSet(np.where(p.mask, mats, 0.0))
+        assert cost_ls(a, p, np.eye(10)) == 0.0
 
 
 class TestNormalize:
@@ -187,7 +227,7 @@ class TestPerformanceIndex:
         true_slices, hat_slices = p_true.slices(), p_hat.slices()
         angles = {}
         scores = []
-        for g in iter_refines(p_hat, p_true):
+        for g in all_groupings(p_hat.sizes, p_true.sizes):
             worst = 0.0
             for k, sl in enumerate(true_slices):
                 ids = tuple(j for j in range(p_hat.card) if g[j] == k)

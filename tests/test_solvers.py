@@ -5,7 +5,7 @@ from gjbd.analysis import bdiag, cost_ls, performance_index, verify_offblock_bou
 from gjbd.datagen import generate_model, nonunique_example
 from gjbd.matkernels import InseparableClustersError
 from gjbd.nullspace import MatrixSet
-from gjbd.partition import Partition, partition_equivalent, refines
+from gjbd.partition import Partition, partition_equivalent
 from gjbd.solvers import (
     SolverConfig,
     UnsplittableError,
@@ -64,7 +64,7 @@ class TestGreedySolve:
         p = Partition((3, 3, 3))
         inst = generate_model(p, m=20, snr=np.inf, seed=0)
         solution = greedy_solve(inst.a, SolverConfig(seed=0))
-        assert refines(solution.partition, p)
+        assert partition_equivalent(solution.partition, p)
         assert solution.cost <= 1e-16 * inst.a.total_sq_norm()
         pi = performance_index(inst.v_inv(), solution.w, p, solution.partition)
         assert pi is not None and pi <= 1e-8
@@ -135,7 +135,7 @@ class TestConservativeSolve:
         inst = generate_model(p, m=20, snr=np.inf, seed=6)
         eps = 1e-6 * np.sqrt(inst.a.total_sq_norm())
         solution = conservative_solve(inst.a, SolverConfig(epsilon=eps))
-        assert refines(solution.partition, p)
+        assert partition_equivalent(solution.partition, p)
         assert solution.cost <= eps ** 2
         check_solution_invariants(inst.a, solution)
 
@@ -238,7 +238,7 @@ class TestExactSolve:
         for seed in range(5):
             inst = generate_model(p, m=12, snr=np.inf, seed=50 + seed)
             solution = exact_solve(inst.a, seed=seed)
-            assert refines(solution.partition, p)
+            assert partition_equivalent(solution.partition, p)
             assert solution.partition.card == p.card
             assert solution.cost <= 1e-10 * inst.a.total_sq_norm()
             pi = performance_index(inst.v_inv(), solution.w, p, solution.partition)
