@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matkernels import economic_qr, largest_principal_angle, sep_lower
-from .nullspace import MatrixSet, exact_nullspace
+from .nullspace import MatrixSet, _gram, exact_nullspace
 
 _REL_SLACK = 1e-8
 
@@ -15,6 +15,10 @@ _REL_SLACK = 1e-8
 # block, drawn from a fixed seed so the test is deterministic
 _SPECTRA_SAMPLES = 20
 _SPECTRA_SEED = 0
+# relative distance under which two sampled eigenvalues count as one
+_SPECTRA_TOL_REL = 1e-6
+# relative trace under which gap_lower_bound takes z as trace-free
+_TRACE_TOL = 1e-8
 
 # search nodes visited per performance-index call; past it the index is an
 # upper bound
@@ -162,38 +166,11 @@ def performance_index(v_inv, w, p_true, p_hat):
     return None if np.isinf(best) else float(best)
 
 
-def _compressed_blocks(a, p, w):
-    # diagonal blocks of w.T A_i w, one list per block index
-    slices = p.slices()
-    return [
-        [w[:, sl].T @ mat @ w[:, sl] for mat in a.mats]
-        for sl in slices
-    ]
-
-
-def _pair_gram(blocks_j, blocks_k):
-    # Gram matrix of the stacked linear system coupling blocks j and k;
-    # singular exactly when the off-diagonal coupling equations admit a
-    # nonzero solution.
-    nj = blocks_j[0].shape[0]
-    nk = blocks_k[0].shape[0]
-    eye_j = np.eye(nj)
-    eye_k = np.eye(nk)
-    top_left = np.zeros((nj * nk, nj * nk))
-    off = np.zeros((nj * nk, nj * nk))
-    bottom_right = np.zeros((nj * nk, nj * nk))
-    for aj, ak in zip(blocks_j, blocks_k):
-        top_left += np.kron(eye_k, aj.T @ aj + aj @ aj.T)
-        off += np.kron(ak, aj) + np.kron(ak.T, aj.T)
-        bottom_right += np.kron(ak.T @ ak + ak @ ak.T, eye_j)
-    return np.block([[top_left, off], [off, bottom_right]])
-
-
-def _spectra_single_cluster(f, tol_rel=1e-6):
+def _spectra_single_cluster(f):
     # all eigenvalues equal to one real number, or to one conjugate pair
     evals = np.linalg.eigvals(f)
     scale = max(1.0, float(np.max(np.abs(evals))))
-    tol = tol_rel * scale
+    tol = _SPECTRA_TOL_REL * scale
     centers = []
     for lam in evals:
         for c in centers:
@@ -214,8 +191,11 @@ def equivalence_check(a, p, w):
     """Test whether all exact solutions sharing the structure of ``(p, w)``
     are equivalent.
 
-    Builds, for every pair of diagonal blocks, the Gram matrix of the
-    coupling equations and tests it for nonsingularity; additionally samples
+    The coupling equations of the block diagonal part of ``w.T A_i w`` tie
+    the entries of ``Z`` in blocks ``(j, k)`` and ``(k, j)`` to no others,
+    so the principal submatrix of their one Gram matrix on those entries is
+    the pair's own; a pair is flagged when it is numerically singular, that
+    is, when the pair's equations admit a nonzero solution.  Also samples
     random elements of each block's exact null space and checks that their
     eigenvalues form a single real value or a single conjugate pair.
 
@@ -223,7 +203,7 @@ def equivalence_check(a, p, w):
     ----------
     a : MatrixSet
     p : Partition
-    w : ndarray
+    w : ndarray, shape (n, n)
         (Approximate) solution pair for ``a``.
 
     Returns
@@ -232,22 +212,32 @@ def equivalence_check(a, p, w):
     singular_pairs : list of (int, int)
         0-based block pairs whose Gram matrix is numerically singular.
     per_block_spectra_ok : bool
+
+    Raises
+    ------
+    ValueError
+        When ``p`` or ``w`` does not match the order of ``a``.
     """
     w = np.asarray(w, dtype=float)
-    blocks = _compressed_blocks(a, p, w)
+    if p.n != a.n or w.shape != (a.n, a.n):
+        raise ValueError("partition and w must match the order of the matrix set")
+    compressed = w.T @ a.mats @ w
+    g = _gram(MatrixSet(bdiag(compressed, p)))
+    column = np.arange(a.n ** 2).reshape((a.n, a.n), order="F")  # g's column weighing Z[r, s]
+    slices = p.slices()
     singular_pairs = []
     for j in range(p.card):
         for k in range(j + 1, p.card):
-            m_jk = _pair_gram(blocks[j], blocks[k])
-            svals = np.linalg.svd(m_jk, compute_uv=False)
-            if svals[-1] <= 1e3 * np.finfo(float).eps * svals[0]:
+            ids = np.concatenate((column[slices[j], slices[k]].ravel(),
+                                  column[slices[k], slices[j]].ravel()))
+            evals = np.linalg.eigvalsh(g[np.ix_(ids, ids)])
+            if evals[0] <= 1e3 * np.finfo(float).eps * evals[-1]:
                 singular_pairs.append((j, k))
 
     rng = np.random.default_rng(_SPECTRA_SEED)
     spectra_ok = True
-    for j in range(p.card):
-        block_set = MatrixSet(np.array(blocks[j]))
-        basis = exact_nullspace(block_set).basis
+    for sl in slices:
+        basis = exact_nullspace(MatrixSet(compressed[:, sl, sl])).basis
         if not basis:
             continue
         for _ in range(_SPECTRA_SAMPLES):
@@ -338,7 +328,7 @@ def verify_imag_bound(a, z, delta):
     return reports
 
 
-def gap_lower_bound(z, trace_tol=1e-8):
+def gap_lower_bound(z):
     """Check the guaranteed largest consecutive real-part gap
     ``g >= sqrt(8 * eta / ((n - 1) * n**2))`` for a trace-free ``z`` with
     ``eta = trace(z @ z) >= 0``; negative ``eta`` makes the bound
@@ -347,7 +337,7 @@ def gap_lower_bound(z, trace_tol=1e-8):
     n = z.shape[0]
     tr = float(np.trace(z))
     scale = max(1.0, float(np.linalg.norm(z)))
-    if abs(tr) > trace_tol * scale:
+    if abs(tr) > _TRACE_TOL * scale:
         raise ValueError("z must be trace-free")
     eta = float(np.trace(z @ z))
     real_parts = np.sort(np.linalg.eigvals(z).real)

@@ -299,6 +299,34 @@ def _report_doc(report):
     }
 
 
+def _load_parameters(params, path):
+    """SolverConfig arguments from a result's stored ``parameters``.
+
+    ``gamma`` is a number, ``mu`` and ``epsilon`` are numbers or null, and
+    ``seed`` is an int or a list of ints: `gjbd solve` stores an int, the
+    benchmark's result files a list.
+    """
+    def is_int(value):
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    def is_number(value):
+        # an int past the float range would overflow the solvers' arithmetic
+        return isinstance(value, float) or is_int(value) and abs(value) <= sys.float_info.max
+
+    if not isinstance(params, dict):
+        raise InputError(f"{path}: parameters must be an object")
+    gamma, mu, epsilon = params.get("gamma", 1.2), params.get("mu"), params.get("epsilon")
+    seed = params.get("seed", 0)
+    if not is_number(gamma):
+        raise InputError(f"{path}: parameters.gamma must be a number")
+    for key, value in (("mu", mu), ("epsilon", epsilon)):
+        if value is not None and not is_number(value):
+            raise InputError(f"{path}: parameters.{key} must be a number or null")
+    if not (is_int(seed) or isinstance(seed, list) and all(map(is_int, seed))):
+        raise InputError(f"{path}: parameters.seed must be an int or a list of ints")
+    return {"gamma": gamma, "mu": mu, "epsilon": epsilon or 0.0, "seed": seed}
+
+
 def _load_result(path, n):
     doc = _load_json(path)
     try:
@@ -306,11 +334,11 @@ def _load_result(path, n):
         w = _matrix_from_flat(doc["w"], n, "result w")
         cost = float(doc["cost"])
         method = doc["method"]
-        params = doc.get("parameters", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed result document") from exc
     if partition.n != n:
         raise InputError(f"{path}: result partition does not sum to n")
+    params = _load_parameters(doc.get("parameters", {}), path)
     return Solution(partition=partition, w=w, cost=cost), method, params
 
 
@@ -354,13 +382,7 @@ def cmd_check(args):
         bound_solution = None
         if method in ("greedy", "exact"):
             # deterministic re-run recovers the combined direction
-            cfg = SolverConfig(
-                gamma=params.get("gamma", 1.2),
-                mu=params.get("mu"),
-                epsilon=params.get("epsilon", 0.0) or 0.0,
-                seed=params.get("seed", 0),
-            )
-            bound_solution, trace = _solve_with(method, a, cfg)
+            bound_solution, trace = _solve_with(method, a, SolverConfig(**params))
         if trace is not None and trace.z is not None:
             offblock = verify_offblock_bound(a, trace.z, trace.delta, bound_solution)
             imag = verify_imag_bound(a, trace.z, trace.delta)

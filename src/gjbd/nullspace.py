@@ -130,7 +130,13 @@ def _gram(a):
 
     ``G = I kron S - C - C.T`` with ``S = sum_i A_i.T A_i + A_i A_i.T`` and
     ``C[(c, p), (r, s)] = sum_i A_i[r, p] A_i[s, c]`` in the column order of
-    ``K`` (column ``(q, p)`` weighs ``Z[p, q]``).
+    ``K``: column ``(q, p)``, index ``q * n + p``, weighs ``Z[p, q]``, the
+    column-major ``vec(Z)`` in which :func:`_collect_basis` and
+    :func:`basis_excluding_identity` reshape.
+
+    Two callers: :func:`_near_null_svd`, for the solvers' near-null spaces,
+    and :func:`gjbd.analysis.equivalence_check`, which reads each block
+    pair's certificate from a principal submatrix.
     """
     n = a.n
     rows = a.mats.reshape(a.m * n, n)  # rows[(i, r), p] = A_i[r, p]

@@ -239,7 +239,79 @@ class TestPerformanceIndex:
         assert performance_index(v_inv, w, p_true, p_hat) == min(scores)
 
 
+def kronecker_pair_gram(blocks_j, blocks_k):
+    # reference for the pair certificates of equivalence_check: the Gram
+    # matrix of the coupling equations of blocks j and k, summed term by
+    # term in Kronecker form with the unknowns Z_jk and Z_kj.T
+    nj = blocks_j[0].shape[0]
+    nk = blocks_k[0].shape[0]
+    top_left = np.zeros((nj * nk, nj * nk))
+    off = np.zeros((nj * nk, nj * nk))
+    bottom_right = np.zeros((nj * nk, nj * nk))
+    for aj, ak in zip(blocks_j, blocks_k):
+        top_left += np.kron(np.eye(nk), aj.T @ aj + aj @ aj.T)
+        off += np.kron(ak, aj) + np.kron(ak.T, aj.T)
+        bottom_right += np.kron(ak.T @ ak + ak @ ak.T, np.eye(nj))
+    return np.block([[top_left, off], [off, bottom_right]])
+
+
+def reference_singular_pairs(a, p, w):
+    blocks = [[w[:, sl].T @ mat @ w[:, sl] for mat in a.mats] for sl in p.slices()]
+    pairs = []
+    for j in range(p.card):
+        for k in range(j + 1, p.card):
+            svals = np.linalg.svd(kronecker_pair_gram(blocks[j], blocks[k]), compute_uv=False)
+            if svals[-1] <= 1e3 * np.finfo(float).eps * svals[0]:
+                pairs.append((j, k))
+    return pairs
+
+
 class TestEquivalenceCheck:
+    def test_pairs_match_kronecker_reference(self):
+        rng = np.random.default_rng(9)
+        cases = []
+        for seed, (sizes, m) in enumerate([((2, 2), 1), ((1, 2, 3), 2), ((3, 3), 6),
+                                           ((2, 1, 2, 1), 1), ((1, 3, 2), 4)]):
+            inst = generate_model(Partition(sizes), m, 40.0, seed=700 + seed)
+            cases.append((inst.a, inst.p_true, np.linalg.inv(inst.v)))
+            cases.append((inst.a, inst.p_true, rng.standard_normal((inst.a.n,) * 2)))
+        a, w4 = nonunique_example([1.0, -0.4, 2.2], [0.8, 1.5, -1.0])
+        cases += [(a, Partition((2, 2)), np.eye(4)), (a, Partition((2, 2)), w4)]
+        for sizes in [(1, 1, 1), (1, 2), (2, 1, 1)]:
+            n = sum(sizes)
+            scalar = MatrixSet(np.array([1.5 * np.eye(n), -0.5 * np.eye(n)]))
+            cases.append((scalar, Partition(sizes), np.eye(n)))
+        flagged = 0
+        for a, p, w in cases:
+            _, pairs, _ = equivalence_check(a, p, w)
+            assert pairs == reference_singular_pairs(a, p, w), (p.sizes, pairs)
+            flagged += bool(pairs)
+        assert 0 < flagged < len(cases)
+
+    @pytest.mark.parametrize("sizes", [(1, 2, 1), (3, 1, 3)], ids=["(1,2,1)", "(3,1,3)"])
+    def test_flags_only_the_coupled_pair(self, sizes):
+        # blocks 0 and 2 hold the same entries, so Z with identities in
+        # blocks (0, 2) and (2, 0) solves their coupling equations; block 1
+        # is generic and couples with neither
+        rng = np.random.default_rng(12)
+        p = Partition(sizes)
+        first, middle, last = p.slices()
+        d = np.zeros((6, p.n, p.n))
+        for i in range(6):
+            d[i, first, first] = d[i, last, last] = rng.standard_normal((sizes[0],) * 2)
+            d[i, middle, middle] = rng.standard_normal((sizes[1],) * 2)
+        v = rng.standard_normal((p.n, p.n))
+        a = MatrixSet(v.T @ d @ v)
+        _, pairs, _ = equivalence_check(a, p, np.linalg.inv(v))
+        assert pairs == [(0, 2)]
+
+    @pytest.mark.parametrize("sizes, w_order", [((2, 1), 4), ((2, 3), 4), ((2, 2), 3)],
+                             ids=["smaller-partition", "larger-partition", "w-shape"])
+    def test_rejects_mismatched_order(self, sizes, w_order):
+        a, _ = nonunique_example([1.0, -0.4], [0.8, 1.5])
+        with pytest.raises(ValueError):
+            equivalence_check(a, Partition(sizes), np.eye(w_order))
+
     def test_nonunique_fixture_flags_pair(self):
         a, _ = nonunique_example([1.0, -0.4, 2.2], [0.8, 1.5, -1.0])
         ok, pairs, spectra_ok = equivalence_check(a, Partition((2, 2)), np.eye(4))

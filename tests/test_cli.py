@@ -215,6 +215,32 @@ class TestCheck:
         res.write_text(json.dumps(doc))
         assert run("check", inp, "--result", res) == EXIT_CHECK_FAILED
 
+    @pytest.mark.parametrize("params", [[1.2, None, 0.0, 11], {"gamma": "x"}, {"seed": "abc"}],
+                             ids=["list", "gamma-string", "seed-string"])
+    def test_malformed_parameters(self, tmp_path, capsys, params):
+        inp = synth(tmp_path, "set.json", "2,3", 8, 40, 11)
+        res = tmp_path / "res.json"
+        run("solve", inp, "--method", "greedy", "--seed", 11, "--out", res)
+        doc = json.loads(res.read_text())
+        doc["parameters"] = params
+        res.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("check", inp, "--result", res, "--bounds") == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "error:" in err and "parameters" in err
+
+    def test_list_seed_passes_bounds(self, tmp_path):
+        # the benchmark's exact-diagnose result files store the seed as a list
+        inp = synth(tmp_path, "set.json", "2,2,2", 4, "inf", 12)
+        res = tmp_path / "res.json"
+        assert run("solve", inp, "--method", "exact", "--out", res) == EXIT_OK
+        doc = json.loads(res.read_text())
+        doc["parameters"]["seed"] = [12, 0, 1]
+        res.write_text(json.dumps(doc))
+        out = tmp_path / "check.json"
+        assert run("check", inp, "--result", res, "--bounds", "--out", out) == EXIT_OK
+        assert json.loads(out.read_text())["all_checks_passed"] is True
+
     def test_corrupted_input(self, tmp_path):
         inp = tmp_path / "bad.json"
         inp.write_text("not json")
