@@ -61,14 +61,30 @@ class TestEigDecompForPartition:
 
 class TestGreedySolve:
     def test_exact_recovery_with_known_mixing(self):
+        # the set is exact, so its null directions are degenerate and the
+        # rounding of the near-null basis decides which combination a seed
+        # draws; a few draws merge true blocks.  Every answer must be exact
+        # and made of whole true blocks, and almost every one must recover
+        # the true sizes
         p = Partition((3, 3, 3))
         inst = generate_model(p, m=20, snr=np.inf, seed=0)
-        solution = greedy_solve(inst.a, SolverConfig(seed=0))
-        assert partition_equivalent(solution.partition, p)
-        assert solution.cost <= 1e-16 * inst.a.total_sq_norm()
-        pi = performance_index(inst.v_inv(), solution.w, p, solution.partition)
-        assert pi is not None and pi <= 1e-8
-        check_solution_invariants(inst.a, solution)
+        seeds = range(200)
+        matches = 0
+        for seed in seeds:
+            solution = greedy_solve(inst.a, SolverConfig(seed=seed))
+            assert solution.cost <= 1e-16 * inst.a.total_sq_norm(), seed
+            check_solution_invariants(inst.a, solution)
+            # grouping the true blocks into the computed ones: each computed
+            # block spans a union of true blocks
+            unions = performance_index(solution.w, inst.v_inv(), solution.partition, p)
+            assert unions is not None and unions <= 1e-8, seed
+            if partition_equivalent(solution.partition, p):
+                matches += 1
+                pi = performance_index(inst.v_inv(), solution.w, p, solution.partition)
+                assert pi is not None and pi <= 1e-8, seed
+        # the card-match rate is about 0.97; 0.9 lies more than five
+        # standard deviations of a 200-draw rate below it
+        assert matches >= 0.9 * len(seeds)
 
     def test_deterministic_given_seed(self):
         inst = generate_model(Partition((2, 3)), m=8, snr=40, seed=1)
