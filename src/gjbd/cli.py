@@ -300,11 +300,12 @@ def _report_doc(report):
 
 
 def _load_parameters(params, path):
-    """SolverConfig arguments from a result's stored ``parameters``.
+    """The SolverConfig of a result's stored ``parameters``.
 
     ``gamma`` is a number, ``mu`` and ``epsilon`` are numbers or null, and
     ``seed`` is an int or a list of ints: `gjbd solve` stores an int, the
-    benchmark's result files a list.
+    benchmark's result files a list.  The values must also pass
+    SolverConfig's own checks (a NaN or infinite ``gamma`` does not).
     """
     def is_int(value):
         return isinstance(value, int) and not isinstance(value, bool)
@@ -324,7 +325,10 @@ def _load_parameters(params, path):
             raise InputError(f"{path}: parameters.{key} must be a number or null")
     if not (is_int(seed) or isinstance(seed, list) and all(map(is_int, seed))):
         raise InputError(f"{path}: parameters.seed must be an int or a list of ints")
-    return {"gamma": gamma, "mu": mu, "epsilon": epsilon or 0.0, "seed": seed}
+    try:
+        return SolverConfig(gamma=gamma, mu=mu, epsilon=epsilon or 0.0, seed=seed)
+    except ValueError as exc:
+        raise InputError(f"{path}: parameters: {exc}") from exc
 
 
 def _load_result(path, n):
@@ -338,8 +342,8 @@ def _load_result(path, n):
         raise InputError(f"{path}: malformed result document") from exc
     if partition.n != n:
         raise InputError(f"{path}: result partition does not sum to n")
-    params = _load_parameters(doc.get("parameters", {}), path)
-    return Solution(partition=partition, w=w, cost=cost), method, params
+    cfg = _load_parameters(doc.get("parameters", {}), path)
+    return Solution(partition=partition, w=w, cost=cost), method, cfg
 
 
 def cmd_check(args):
@@ -347,9 +351,9 @@ def cmd_check(args):
     doc = {}
     all_ok = True
 
-    solution = method = params = None
+    solution = method = cfg = None
     if args.result is not None:
-        solution, method, params = _load_result(args.result, a.n)
+        solution, method, cfg = _load_result(args.result, a.n)
         recomputed = cost_ls(a, solution.partition, solution.w)
         scale = max(abs(solution.cost), abs(recomputed), 1e-300)
         match = abs(recomputed - solution.cost) <= 1e-12 * scale or (
@@ -382,7 +386,7 @@ def cmd_check(args):
         bound_solution = None
         if method in ("greedy", "exact"):
             # deterministic re-run recovers the combined direction
-            bound_solution, trace = _solve_with(method, a, SolverConfig(**params))
+            bound_solution, trace = _solve_with(method, a, cfg)
         if trace is not None and trace.z is not None:
             offblock = verify_offblock_bound(a, trace.z, trace.delta, bound_solution)
             imag = verify_imag_bound(a, trace.z, trace.delta)

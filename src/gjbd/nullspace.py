@@ -4,18 +4,22 @@ The equations stack into one operator ``K`` (``m*n*n x n*n``, see
 :func:`build_stacked_operator`) whose small singular directions span the
 near-null space.  The solvers never form ``K``.  They assemble its Gram
 matrix ``G = K.T K`` from the structure of the ``A_i`` in ``O(m n**4)``
-and take one symmetric eigendecomposition.  The square roots of the large
-eigenvalues are the head of the spectrum.  The lowest eigenvectors are
-refined by one corrected semi-normal step (Bjorck, *Numerical Methods for
-Least Squares Problems*, 1996), which applies ``K`` and ``K.T`` as
-``A_i Z - Z.T A_i`` and ``A_i.T Y - A_i Y.T``.  A Rayleigh-Ritz SVD of
-``K`` on the refined window (Golub & Van Loan, *Matrix Computations*)
-then gives the small singular values to the precision of a dense SVD.
+and reduce it to tridiagonal form once.  All eigenvalues of ``G`` follow
+from the tridiagonal matrix; the square roots of the large ones are the
+head of the spectrum.  Only the lowest eigenvectors, a window chosen from
+those eigenvalues, are computed.  They are refined by one corrected
+semi-normal step (Bjorck, *Numerical Methods for Least Squares Problems*,
+1996), which applies ``K`` and ``K.T`` as ``A_i Z - Z.T A_i`` and
+``A_i.T Y - A_i Y.T`` and solves with a Cholesky factor of ``G`` shifted
+on the window.  A Rayleigh-Ritz SVD of ``K`` on the refined window (Golub
+& Van Loan, *Matrix Computations*) then gives the small singular values to
+the precision of a dense SVD.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 
 @dataclass(frozen=True)
@@ -63,9 +67,10 @@ class NullSpaceBasis:
     sigma : ndarray, shape (n*n,)
         All singular values of the stacked operator, non-increasing.  The
         head holds the square roots of the eigenvalues of ``G = K.T K``
-        above the refined window, accurate relative to ``sigma[0]``; the
-        tail, which covers every value up to twice ``delta``, comes from
-        the Rayleigh-Ritz SVD at the precision of a dense SVD of ``K``.
+        above the refined window, taken from its tridiagonal form (``dsterf``)
+        and accurate relative to ``sigma[0]``; the tail, which covers every
+        value up to twice ``delta``, comes from the Rayleigh-Ritz SVD at the
+        precision of a dense SVD of ``K``.
     basis : list of ndarray
         Matrices reshaped from the right singular directions with singular
         value below ``delta``, smallest singular value first.
@@ -174,57 +179,111 @@ def _apply_kt(a, y):
     return (at_y - a_yt).reshape(n, -1, n).transpose(1, 2, 0).reshape(-1, n * n).T
 
 
-def _near_null_svd(a, threshold):
-    """Singular values and right singular vectors of ``K``, as the thin
-    SVD of :func:`build_stacked_operator` gives them, without forming ``K``.
+def _lowest_eigvecs(reflectors, tau, diag, offdiag, k):
+    """Eigenvectors of the ``k`` lowest eigenvalues of a symmetric matrix
+    of order ``N`` from its ``dsytrd`` reduction (lower).
 
-    One ``eigh`` of ``G = K.T K`` splits the spectrum.  The eigenvectors
-    whose root lies at or below ``_GRAM_RESOLUTION * n * sqrt(eps) *
-    sigma_max`` (at least two) form a window ``V``.  One corrected
-    semi-normal step, ``V <- qr(V - V_c inv(L_c) V_c.T K.T (K V))`` with
-    the eigenpairs ``(V_c, L_c)`` outside the window, removes the rounding
-    that forming ``G`` left in ``V``.  The SVD of ``K V`` then gives the
-    tail of the spectrum and its right vectors.  The window doubles until
-    the first root outside it exceeds ``2 * threshold(sigma)``, so every
-    value a caller compares with its threshold comes from the tail.
+    ``diag`` and ``offdiag`` hold the tridiagonal matrix.  ``Q = H(1) ...
+    H(N - 1)`` leaves row 0 alone, and on rows ``1:`` it is the ``Q`` of a
+    QR factorization: ``reflectors``, rows ``1:`` and columns ``:-1`` of
+    what ``dsytrd`` returns, in column order, and ``tau`` define it for
+    ``dormqr``.
+    """
+    # dstemr overwrites its off-diagonal argument, padded to the full length
+    _, _, z, _ = lapack.dstemr(diag, np.append(offdiag, 0.0), 2, 0.0, 0.0, 1, k)
+    rows, _, _ = lapack.dormqr("L", "N", reflectors, tau, z[1:, :k], k)
+    # a copy, so that dstemr's N x N array is freed
+    return np.vstack((z[:1, :k], rows))
+
+
+def _near_null_svd(a, threshold):
+    """Singular values of ``K`` and the right singular vectors of its
+    smallest ones, as the thin SVD of :func:`build_stacked_operator` gives
+    them, without forming ``K``.
+
+    ``G = K.T K`` is reduced to tridiagonal form once (``dsytrd``).  All
+    its eigenvalues come from ``dsterf``; their square roots, in descending
+    order, are the estimate of the spectrum.  The window is chosen from it
+    up front: the ``k`` lowest eigenvectors, at least two, enough to hold
+    every root at or below ``_GRAM_RESOLUTION * n * sqrt(eps) * sigma_max``
+    and every root at or below twice the caller's threshold of the
+    estimate.  Only these ``k`` vectors are computed, by ``dstemr`` on the
+    tridiagonal matrix and ``dormqr`` with the stored reflectors.
+
+    One corrected semi-normal step removes the rounding that forming ``G``
+    left in the window ``V``: ``V <- qr(V - inv(M) (I - V V.T) K.T (K V))``
+    with ``M = G + lambda_max V V.T``, solved by one Cholesky factorization.
+    With ``(V_c, L_c)`` the eigenpairs outside the window,
+    ``inv(M) (I - V V.T) = V_c inv(L_c) V_c.T``, so the eigenvectors outside
+    the window are never formed.  The SVD of ``K V`` then gives the tail of
+    the spectrum and its right vectors.  Should the first root outside the
+    window not exceed ``2 * threshold(sigma)`` of the final values, the
+    window doubles and the step is repeated, so every value a caller
+    compares with its threshold comes from the tail.
 
     Parameters
     ----------
     a : MatrixSet
     threshold : callable
-        Maps the singular values to the threshold the caller applies.
+        Maps non-increasing singular values to the threshold the caller
+        applies.
 
     Returns
     -------
     sigma : ndarray, shape (n*n,)
         Non-increasing.
-    vt : ndarray, shape (n*n, n*n)
-        Row ``j`` is the right singular vector of ``sigma[j]``.
+    vt : ndarray, shape (k, n*n)
+        The right singular vectors of the window, ``k <= n*n``: row ``j``
+        belongs to ``sigma[n*n - k + j]``.  Every value below the
+        threshold lies in the window, so these are all the rows a caller
+        reads.
     """
     n2 = a.n * a.n
+    if n2 == 1:
+        # a scalar commutes with its transpose: K vanishes (and dsytrd
+        # rejects a 1 x 1 matrix)
+        return np.zeros(1), np.ones((1, 1))
     # K is linear in the A_i: scaling them by a power of two, which is exact,
     # keeps the squares in G from overflowing or underflowing
     exponent = np.frexp(np.abs(a.mats).max())[1]
     a = MatrixSet(np.ldexp(a.mats, -exponent))
-    lam, vecs = np.linalg.eigh(_gram(a))
+    g = _gram(a)
+    refl, diag, offdiag, tau, _ = lapack.dsytrd(g, lower=1)
+    # the reflectors in the layout dormqr reads; dropping dsytrd's own array
+    # keeps at most three n**2 x n**2 arrays alive
+    reflectors = np.asfortranarray(refl[1:, :-1])
+    del refl
+    lam, _ = lapack.dsterf(diag, offdiag)
     root = np.sqrt(np.clip(lam, 0.0, None))
     resolution = _GRAM_RESOLUTION * a.n * np.sqrt(np.finfo(float).eps) * root[-1]
-    k = min(max(2, int(np.sum(root <= resolution))), n2)
+    estimate = threshold(np.ldexp(root[::-1], exponent))
+    k = max(2, int(np.sum(root <= resolution)),
+            int(np.sum(np.ldexp(root, exponent) <= 2.0 * estimate)))
+    k = min(k, n2)
     while True:
-        v, v_c = vecs[:, :k], vecs[:, k:]
+        v = _lowest_eigvecs(reflectors, tau, diag, offdiag, k)
         if k < n2:
-            coef = (v_c.T @ _apply_kt(a, _apply_k(a, v))) / lam[k:, None]
-            v, _ = np.linalg.qr(v - v_c @ coef)
+            # the window holds every root at or below the resolution, so no
+            # eigenvalue of M lies below resolution**2, about 1e4 * n**2 *
+            # eps * lambda_max: the Cholesky factorization cannot break down
+            shifted = (lam[-1] * v) @ v.T
+            shifted += g
+            # symmetric, so the transpose is the same matrix in the column
+            # order LAPACK factors in place
+            m_chol, _ = lapack.dpotrf(shifted.T, lower=1, overwrite_a=1)
+            step = _apply_kt(a, _apply_k(a, v))
+            step -= v @ (v.T @ step)
+            step, _ = lapack.dpotrs(m_chol, step, lower=1)
+            v, _ = np.linalg.qr(v - step)
         _, tail, rot = np.linalg.svd(_apply_k(a, v), full_matrices=False)
-        sigma = np.ldexp(np.concatenate((root[k:][::-1], tail)), exponent)
-        vt = np.vstack((v_c.T[::-1], rot @ v.T))
+        # a Ritz value may pass the lowest head root by rounding when the
+        # two are nearly equal; both lie above twice the threshold, so the
+        # values callers compare keep their rows
+        sigma = -np.sort(-np.ldexp(np.concatenate((root[k:], tail)), exponent))
         if k == n2 or np.ldexp(root[k], exponent) > 2.0 * threshold(sigma):
             break
         k = min(2 * k, n2)
-    # a Ritz value may pass the lowest head root by rounding when the two
-    # are nearly equal; keep the order the callers index by
-    order = np.argsort(-sigma, kind="stable")
-    return sigma[order], vt[order]
+    return sigma, rot @ v.T
 
 
 def _collect_basis(a, sigma, vt, threshold):
@@ -235,6 +294,7 @@ def _collect_basis(a, sigma, vt, threshold):
         threshold = np.inf
     else:
         count = int(np.sum(sigma < threshold))
+    # vt holds the rows of the window only, the last len(vt) values of sigma
     basis = [vt[-(j + 1)].reshape((n, n), order="F") for j in range(count)]
     if count:
         coords = np.array([np.trace(z) / np.sqrt(n) for z in basis])
@@ -262,14 +322,14 @@ def delta_nullspace(a, gamma):
     ----------
     a : MatrixSet
     gamma : float
-        Threshold multiplier, > 1.
+        Threshold multiplier, finite and > 1.
 
     Returns
     -------
     NullSpaceBasis
     """
-    if gamma <= 1.0:
-        raise ValueError("gamma must be > 1")
+    if not 1.0 < gamma < np.inf:
+        raise ValueError("gamma must be finite and > 1")
     n2 = a.n * a.n
 
     def threshold(sigma):

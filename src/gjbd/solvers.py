@@ -64,11 +64,12 @@ class SolverConfig:
     seed: object = 0
 
     def __post_init__(self):
-        if self.gamma <= 1.0:
-            raise ValueError("gamma must be > 1")
+        # written so that NaN fails every test
+        if not 1.0 < self.gamma < np.inf:
+            raise ValueError("gamma must be finite and > 1")
         if self.mu is not None and not 0.0 < self.mu < 1.0:
             raise ValueError("mu must lie in (0, 1)")
-        if self.epsilon < 0.0:
+        if not self.epsilon >= 0.0:
             raise ValueError("epsilon must be nonnegative")
 
     def resolve_mu(self, n):

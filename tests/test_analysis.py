@@ -305,6 +305,25 @@ class TestEquivalenceCheck:
         _, pairs, _ = equivalence_check(a, p, np.linalg.inv(v))
         assert pairs == [(0, 2)]
 
+    @pytest.mark.parametrize("ratio, flagged", [(3e4, False), (30.0, True)],
+                             ids=["3e4-eps", "30-eps"])
+    def test_singularity_threshold(self, ratio, flagged):
+        # A_i = diag(x_i0, -x_i1) for the rows x_i of x = U diag(1, t) V.T;
+        # the coupling of the two 1 x 1 blocks maps (Z[0, 1], Z[1, 0]) to
+        # +-(x @ (Z[0, 1], Z[1, 0])), so the pair Gram is 2 x.T x and its
+        # smallest relative eigenvalue is t**2.  A pair is singular at or
+        # below 1e3 * eps, so 3e4 * eps is kept and 30 * eps flagged
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(31)
+        u, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        v, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        x = u @ np.diag([1.0, np.sqrt(ratio * eps)]) @ v.T
+        evals = np.linalg.eigvalsh(x.T @ x)
+        assert 0.5 * ratio * eps <= evals[0] / evals[-1] <= 2.0 * ratio * eps
+        a = MatrixSet(np.array([np.diag([x0, -x1]) for x0, x1 in x]))
+        _, pairs, _ = equivalence_check(a, Partition((1, 1)), np.eye(2))
+        assert pairs == ([(0, 1)] if flagged else [])
+
     @pytest.mark.parametrize("sizes, w_order", [((2, 1), 4), ((2, 3), 4), ((2, 2), 3)],
                              ids=["smaller-partition", "larger-partition", "w-shape"])
     def test_rejects_mismatched_order(self, sizes, w_order):

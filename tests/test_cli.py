@@ -113,6 +113,12 @@ class TestSolve:
         inp = synth(tmp_path, "set.json", "2,2", 3, 40, 0)
         assert run("solve", inp, "--gamma", 0.5) == EXIT_PARSE
 
+    @pytest.mark.parametrize("option, value", [("--gamma", "nan"), ("--gamma", "inf"),
+                                               ("--epsilon", "nan")])
+    def test_non_finite_parameter(self, tmp_path, option, value):
+        inp = synth(tmp_path, "set.json", "2,3", 3, 40, 0)
+        assert run("solve", inp, option, value) == EXIT_PARSE
+
     @pytest.mark.parametrize("method", ["greedy", "exact"])
     def test_inseparable_clusters_exit_code(self, tmp_path, capsys, monkeypatch, method):
         # a decoupling that cannot separate two clusters is a numerical
@@ -215,8 +221,9 @@ class TestCheck:
         res.write_text(json.dumps(doc))
         assert run("check", inp, "--result", res) == EXIT_CHECK_FAILED
 
-    @pytest.mark.parametrize("params", [[1.2, None, 0.0, 11], {"gamma": "x"}, {"seed": "abc"}],
-                             ids=["list", "gamma-string", "seed-string"])
+    @pytest.mark.parametrize("params", [[1.2, None, 0.0, 11], {"gamma": "x"}, {"seed": "abc"},
+                                        {"gamma": float("nan")}, {"gamma": float("inf")}],
+                             ids=["list", "gamma-string", "seed-string", "gamma-nan", "gamma-inf"])
     def test_malformed_parameters(self, tmp_path, capsys, params):
         inp = synth(tmp_path, "set.json", "2,3", 8, 40, 11)
         res = tmp_path / "res.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from gjbd import nullspace
 from gjbd.datagen import generate_model
 from gjbd.matkernels import perfect_shuffle
 from gjbd.nullspace import (
@@ -11,6 +12,7 @@ from gjbd.nullspace import (
     _apply_k,
     _apply_kt,
     _gram,
+    _lowest_eigvecs,
     basis_excluding_identity,
     build_stacked_operator,
     delta_nullspace,
@@ -20,6 +22,7 @@ from gjbd.nullspace import (
     trace_gram,
 )
 from gjbd.partition import Partition
+from gjbd.solvers import SolverConfig, conservative_solve, greedy_solve
 
 
 def vec(z):
@@ -146,16 +149,82 @@ def fuzz_set(rng, kind):
 def test_matches_dense_svd(kind):
     # the dimensions equal the dense SVD's, and every singular value up to
     # 1.5 * delta agrees with it at dense-SVD precision, so none of them
-    # may come from the coarser square roots of the Gram eigenvalues
+    # may come from the coarser square roots of the Gram eigenvalues; the
+    # collected basis spans the dense SVD's near-null space
     rng = np.random.default_rng(FUZZ_KINDS.index(kind))
     for _ in range(FUZZ_SETS):
         a = fuzz_set(rng, kind)
-        sigma = np.linalg.svd(build_stacked_operator(a), compute_uv=False)
+        _, sigma, vt = np.linalg.svd(build_stacked_operator(a))
         got = (delta_nullspace(a, 1.2), exact_nullspace(a))
         for b, dim in zip(got, dense_dims(a, sigma, 1.2)):
             assert b.dim == dim
             low = sigma <= 1.5 * b.delta
             assert np.all(np.abs(b.sigma[low] - sigma[low]) <= 1e-13 * sigma[0])
+            if dim:
+                cols = np.column_stack([vec(z) for z in b.basis])
+                angles = scipy.linalg.subspace_angles(cols, vt[vt.shape[0] - dim:].T)
+                assert angles.max() <= 1e-6
+
+
+class TestNearNullSvd:
+    @pytest.mark.parametrize("kind", FUZZ_KINDS)
+    def test_window_spans_lowest_gram_eigenvectors(self, kind):
+        # the dstemr/dormqr window against a full eigh of the same G, for
+        # every k at which the eigengap bounds the eigenvector error.  MRRR
+        # keeps the vectors orthogonal to O(N eps) for G of order N, with a
+        # larger constant inside clusters (up to about 300 N eps on these
+        # sets); the corrected step orthonormalizes them again
+        rng = np.random.default_rng(40 + FUZZ_KINDS.index(kind))
+        eps = np.finfo(float).eps
+        checked = 0
+        for _ in range(20):
+            g = _gram(fuzz_set(rng, kind))
+            lam, vecs = np.linalg.eigh(g)
+            refl, diag, offdiag, tau, _ = scipy.linalg.lapack.dsytrd(g, lower=1)
+            reflectors = np.asfortranarray(refl[1:, :-1])
+            for k in range(1, min(16, len(lam))):
+                gap = lam[k] - lam[k - 1]
+                if gap <= 1e-6 * lam[-1]:
+                    continue
+                v = _lowest_eigvecs(reflectors, tau, diag, offdiag, k)
+                assert np.linalg.norm(v.T @ v - np.eye(k)) <= 1e3 * len(lam) * eps
+                angles = scipy.linalg.subspace_angles(v, vecs[:, :k])
+                assert angles.max() <= 1e3 * eps * lam[-1] / gap
+                checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("sizes", [(3, 3, 3), (1, 2, 3, 4), (5, 5, 5, 5)],
+                             ids=["(3,3,3)", "(1,2,3,4)", "(5,5,5,5)"])
+    def test_one_refinement_pass(self, monkeypatch, sizes):
+        # the window is chosen up front, so each call applies K twice: once
+        # in the corrected step and once in the Rayleigh-Ritz SVD, or only
+        # in the SVD when the window is the whole space
+        applied = []
+        passes = []
+        apply_k, near_null_svd = nullspace._apply_k, nullspace._near_null_svd
+
+        def counting_apply_k(a, v):
+            applied.append(v.shape[1])
+            return apply_k(a, v)
+
+        def counting_near_null_svd(a, threshold):
+            del applied[:]
+            sigma, vt = near_null_svd(a, threshold)
+            passes.append((len(applied), 2 if vt.shape[0] < a.n * a.n else 1))
+            return sigma, vt
+
+        monkeypatch.setattr(nullspace, "_apply_k", counting_apply_k)
+        monkeypatch.setattr(nullspace, "_near_null_svd", counting_near_null_svd)
+        p = Partition(sizes)
+        snrs = [40.0] if p.n > 10 else [20.0, 40.0, 60.0, 80.0]
+        for snr in snrs:
+            for seed in range(2):
+                inst = generate_model(p, 20, snr, seed)
+                cfg = SolverConfig(epsilon=3 * p.n ** 2 * 10 ** (-snr / 20), seed=seed)
+                greedy_solve(inst.a, cfg)
+                conservative_solve(inst.a, cfg)
+        assert len(passes) > 2 * len(snrs)
+        assert all(calls == want for calls, want in passes), passes
 
 
 class TestResidual:
@@ -197,6 +266,11 @@ class TestDeltaNullspace:
     def test_rejects_gamma_at_most_one(self):
         with pytest.raises(ValueError):
             delta_nullspace(MatrixSet(np.eye(2)[None]), 1.0)
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_rejects_non_finite_gamma(self, gamma):
+        with pytest.raises(ValueError):
+            delta_nullspace(MatrixSet(np.eye(2)[None]), gamma)
 
     def test_basis_invariants_on_noisy_model(self):
         inst = generate_model(Partition((2, 3)), m=8, snr=40, seed=5)

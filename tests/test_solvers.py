@@ -322,3 +322,10 @@ class TestSolverConfig:
             SolverConfig(mu=1.5)
         with pytest.raises(ValueError):
             SolverConfig(epsilon=-1.0)
+
+    @pytest.mark.parametrize("kwargs", [{"gamma": np.nan}, {"gamma": np.inf},
+                                        {"epsilon": np.nan}],
+                             ids=["gamma-nan", "gamma-inf", "epsilon-nan"])
+    def test_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValueError):
+            SolverConfig(**kwargs)
