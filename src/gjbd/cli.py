@@ -69,12 +69,13 @@ def _parse_partition(text):
 
 
 def _parse_snr(text):
-    if text.strip().lower() in ("inf", "infinity"):
-        return np.inf
     try:
-        return float(text)
+        snr = float(text)  # reads "inf" and "infinity" in any case
     except ValueError as exc:
         raise InputError(f"invalid SNR {text!r}") from exc
+    if np.isnan(snr) or snr == -np.inf:
+        raise InputError(f"invalid SNR {text!r}: must be finite or inf")
+    return snr
 
 
 def _load_json(path):
@@ -85,6 +86,19 @@ def _load_json(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _partition_from_json(sizes, n, what):
+    # JSON integers only: int() would truncate 2.9 and read true as 1
+    if not (isinstance(sizes, list) and sizes and all(_is_int(s) and s >= 1 for s in sizes)):
+        raise InputError(f"{what} must be a nonempty list of positive integers")
+    if sum(sizes) != n:
+        raise InputError(f"{what} does not sum to n")
+    return Partition(tuple(sizes))
 
 
 def _matrix_from_flat(flat, n, what):
@@ -108,13 +122,11 @@ def load_matrix_set_file(path):
     """
     doc = _load_json(path)
     try:
-        n = int(doc["n"])
-        m = int(doc["m"])
-        matrices = doc["matrices"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: missing or malformed n/m/matrices") from exc
-    if n < 1 or m < 1:
-        raise InputError(f"{path}: n and m must be positive")
+        n, m, matrices = doc["n"], doc["m"], doc["matrices"]
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"{path}: missing n/m/matrices") from exc
+    if not (_is_int(n) and _is_int(m)) or n < 1 or m < 1:
+        raise InputError(f"{path}: n and m must be positive integers")
     if not isinstance(matrices, list) or len(matrices) != m:
         raise InputError(f"{path}: expected {m} matrices")
     mats = np.array([_matrix_from_flat(row, n, f"matrix {i}") for i, row in enumerate(matrices)])
@@ -123,12 +135,7 @@ def load_matrix_set_file(path):
         v_inv = _matrix_from_flat(doc["v_inv"], n, "v_inv")
     p_true = None
     if doc.get("p_true") is not None:
-        try:
-            p_true = Partition(tuple(int(s) for s in doc["p_true"]))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{path}: malformed p_true") from exc
-        if p_true.n != n:
-            raise InputError(f"{path}: p_true does not sum to n")
+        p_true = _partition_from_json(doc["p_true"], n, f"{path}: p_true")
     return MatrixSet(mats), v_inv, p_true
 
 
@@ -165,15 +172,12 @@ def _score(v_inv, p_true, solution):
 
 
 def _solve_with(method, a, cfg):
+    # method is one of _METHODS, checked by every caller
     if method == "greedy":
-        solution, trace = greedy_solve_with_trace(a, cfg)
-    elif method == "exact":
-        solution, trace = exact_solve_with_trace(a, cfg.seed)
-    elif method == "consv":
-        solution, trace = conservative_solve(a, cfg), None
-    else:
-        raise InputError(f"unknown method {method!r}")
-    return solution, trace
+        return greedy_solve_with_trace(a, cfg)
+    if method == "exact":
+        return exact_solve_with_trace(a, cfg.seed)
+    return conservative_solve(a, cfg), None
 
 
 def cmd_solve(args):
@@ -299,6 +303,16 @@ def _report_doc(report):
     }
 
 
+def _bound_reports(bounds_doc, prefix, a, solution, trace):
+    # adds the off-block and imaginary-part bound reports of one solve under
+    # prefix + "offblock" and prefix + "imag"; returns whether all hold
+    offblock = verify_offblock_bound(a, trace.z, trace.delta, solution)
+    imag = verify_imag_bound(a, trace.z, trace.delta)
+    bounds_doc[prefix + "offblock"] = _report_doc(offblock)
+    bounds_doc[prefix + "imag"] = [_report_doc(r) for r in imag]
+    return offblock.satisfied and all(r.satisfied for r in imag)
+
+
 def _load_parameters(params, path):
     """The SolverConfig of a result's stored ``parameters``.
 
@@ -307,12 +321,9 @@ def _load_parameters(params, path):
     benchmark's result files a list.  The values must also pass
     SolverConfig's own checks (a NaN or infinite ``gamma`` does not).
     """
-    def is_int(value):
-        return isinstance(value, int) and not isinstance(value, bool)
-
     def is_number(value):
         # an int past the float range would overflow the solvers' arithmetic
-        return isinstance(value, float) or is_int(value) and abs(value) <= sys.float_info.max
+        return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
 
     if not isinstance(params, dict):
         raise InputError(f"{path}: parameters must be an object")
@@ -323,7 +334,7 @@ def _load_parameters(params, path):
     for key, value in (("mu", mu), ("epsilon", epsilon)):
         if value is not None and not is_number(value):
             raise InputError(f"{path}: parameters.{key} must be a number or null")
-    if not (is_int(seed) or isinstance(seed, list) and all(map(is_int, seed))):
+    if not (_is_int(seed) or isinstance(seed, list) and all(map(_is_int, seed))):
         raise InputError(f"{path}: parameters.seed must be an int or a list of ints")
     try:
         return SolverConfig(gamma=gamma, mu=mu, epsilon=epsilon or 0.0, seed=seed)
@@ -334,14 +345,12 @@ def _load_parameters(params, path):
 def _load_result(path, n):
     doc = _load_json(path)
     try:
-        partition = Partition(tuple(int(s) for s in doc["partition"]))
+        partition = _partition_from_json(doc["partition"], n, f"{path}: result partition")
         w = _matrix_from_flat(doc["w"], n, "result w")
         cost = float(doc["cost"])
         method = doc["method"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed result document") from exc
-    if partition.n != n:
-        raise InputError(f"{path}: result partition does not sum to n")
     cfg = _load_parameters(doc.get("parameters", {}), path)
     return Solution(partition=partition, w=w, cost=cost), method, cfg
 
@@ -382,30 +391,19 @@ def cmd_check(args):
 
     if args.bounds:
         bounds_doc = {}
-        trace = None
-        bound_solution = None
         if method in ("greedy", "exact"):
             # deterministic re-run recovers the combined direction
             bound_solution, trace = _solve_with(method, a, cfg)
-        if trace is not None and trace.z is not None:
-            offblock = verify_offblock_bound(a, trace.z, trace.delta, bound_solution)
-            imag = verify_imag_bound(a, trace.z, trace.delta)
-            bounds_doc["offblock"] = _report_doc(offblock)
-            bounds_doc["imag"] = [_report_doc(r) for r in imag]
-            all_ok = all_ok and offblock.satisfied and all(r.satisfied for r in imag)
+            if trace.z is not None:
+                all_ok &= _bound_reports(bounds_doc, "", a, bound_solution, trace)
         try:
-            split_partition, split_w, split_cost, split_trace = one_step_split_with_trace(a)
-            gap = gap_lower_bound(split_trace.z)
-            two_block = Solution(partition=split_partition, w=split_w, cost=split_cost)
-            split_off = verify_offblock_bound(a, split_trace.z, split_trace.delta, two_block)
-            split_imag = verify_imag_bound(a, split_trace.z, split_trace.delta)
-            bounds_doc["gap"] = _report_doc(gap)
-            bounds_doc["split_offblock"] = _report_doc(split_off)
-            bounds_doc["split_imag"] = [_report_doc(r) for r in split_imag]
-            all_ok = all_ok and gap.satisfied and split_off.satisfied
-            all_ok = all_ok and all(r.satisfied for r in split_imag)
+            split, split_trace = one_step_split_with_trace(a)
         except UnsplittableError:
             bounds_doc["gap"] = None
+        else:
+            gap = gap_lower_bound(split_trace.z)
+            bounds_doc["gap"] = _report_doc(gap)
+            all_ok &= gap.satisfied & _bound_reports(bounds_doc, "split_", a, split, split_trace)
         doc["bounds"] = bounds_doc
 
     doc["all_checks_passed"] = bool(all_ok)

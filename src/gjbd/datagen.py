@@ -48,8 +48,8 @@ def generate_model(p, m, snr, seed):
     m : int
         Number of matrices, >= 1.
     snr : float
-        Decibel signal-to-noise ratio of the off-block entries;
-        ``numpy.inf`` gives exactly block diagonal ``D_i``.
+        Decibel signal-to-noise ratio of the off-block entries, finite or
+        ``numpy.inf``, which gives exactly block diagonal ``D_i``.
     seed : int or sequence of int
 
     Returns
@@ -58,6 +58,8 @@ def generate_model(p, m, snr, seed):
     """
     if m < 1:
         raise ValueError("need m >= 1")
+    if not (np.isfinite(snr) or snr == np.inf):
+        raise ValueError(f"SNR {snr} is neither finite nor +inf")
     rng = np.random.default_rng(seed)
     n = p.n
     sigma = 0.0 if np.isinf(snr) else 10.0 ** (-snr / 20.0)

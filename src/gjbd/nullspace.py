@@ -76,12 +76,16 @@ class NullSpaceBasis:
         value below ``delta``, smallest singular value first.
     includes_identity_direction : bool
         Whether the identity lies in the span of ``basis``.
+    rank_cutoff : bool
+        Whether ``delta`` is the numerical-rank cutoff, so that ``basis``
+        spans the exact null space.
     """
 
     delta: float
     sigma: np.ndarray
     basis: list
     includes_identity_direction: bool
+    rank_cutoff: bool
 
     @property
     def dim(self):
@@ -288,6 +292,8 @@ def _near_null_svd(a, threshold):
 
 def _collect_basis(a, sigma, vt, threshold):
     n = a.n
+    # delta_nullspace's other threshold, gamma * second_smallest, is larger
+    rank_cutoff = threshold == exact_rank_tolerance(a, sigma[0])
     if sigma[0] == 0.0:
         # the operator vanishes; every direction is null
         count = n * n
@@ -306,6 +312,7 @@ def _collect_basis(a, sigma, vt, threshold):
         sigma=sigma,
         basis=basis,
         includes_identity_direction=includes_identity,
+        rank_cutoff=rank_cutoff,
     )
 
 
@@ -316,7 +323,8 @@ def delta_nullspace(a, gamma):
     The smallest singular value is always (numerically) zero because the
     identity satisfies the coupling equations exactly.  When the second
     smallest is also numerically zero the set admits exact solutions and the
-    threshold falls back to a standard numerical-rank cutoff.
+    threshold falls back to a standard numerical-rank cutoff, which the
+    returned basis records as ``rank_cutoff``.
 
     Parameters
     ----------

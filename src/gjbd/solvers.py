@@ -1,5 +1,10 @@
 """Solution procedures: exact solve, the greedy randomized solve, the
-single two-block split, and the conservative iterative refinement."""
+single two-block split, and the conservative iterative refinement.
+
+Each turns a near-null direction into a :class:`Solution` through one
+routine, :func:`_solution_from_direction`; exact mode is greedy's path over
+the null space cut at numerical rank.
+"""
 
 from dataclasses import dataclass
 
@@ -52,8 +57,8 @@ class Solution:
 class SolverConfig:
     """Tuning knobs shared by the solvers.
 
-    ``mu = None`` resolves to the default relative gap threshold
-    ``1 / (8 * (n - 1))``; ``epsilon`` is the cost tolerance used by the
+    ``mu = None`` resolves to a default relative gap threshold, see
+    :meth:`resolve_mu`; ``epsilon`` is the cost tolerance used by the
     conservative solver; ``seed`` feeds the random combination drawn by the
     greedy solver.
     """
@@ -72,9 +77,13 @@ class SolverConfig:
         if not self.epsilon >= 0.0:
             raise ValueError("epsilon must be nonnegative")
 
-    def resolve_mu(self, n):
+    def resolve_mu(self, n, rank_cutoff=False):
+        """``mu``, else the default for order ``n`` and a null space that
+        is (``NullSpaceBasis.rank_cutoff``) or is not cut at numerical rank."""
         if self.mu is not None:
             return self.mu
+        if rank_cutoff:
+            return _EXACT_CLUSTER_MU
         return 1.0 / (8.0 * (n - 1)) if n > 1 else 0.5
 
 
@@ -93,17 +102,30 @@ def _trivial_solution(a):
 
 def _assemble_diagonalizer(schur, p):
     # Sylvester decoupling of the ordered Schur factor followed by a per
-    # cluster orthonormalization; returns the normalized diagonalizer and
-    # the diagonal blocks of inv(w) z w.
-    w_syl, tblocks = block_diagonalize_similarity(schur, p.boundaries())
-    cols = []
-    gblocks = []
-    for sl, tblock in zip(p.slices(), tblocks):
-        u, r = economic_qr(w_syl[:, sl])
-        cols.append(u)
-        gblocks.append(np.linalg.solve(r.T, (r @ tblock).T).T)
-    w = schur.q @ np.hstack(cols)
-    return w, gblocks
+    # cluster orthonormalization
+    w_syl, _ = block_diagonalize_similarity(schur, p.boundaries())
+    cols = [economic_qr(w_syl[:, sl])[0] for sl in p.slices()]
+    return schur.q @ np.hstack(cols)
+
+
+def _solution_from_direction(a, z, pick):
+    # ordered Schur form, the partition pick(schur) chooses, decoupling, cost
+    schur = real_schur_ordered(z)
+    partition = pick(schur)
+    if partition.card == 1:
+        return _trivial_solution(a)
+    w = _assemble_diagonalizer(schur, partition)
+    return Solution(partition=partition, w=w, cost=cost_ls(a, partition, w))
+
+
+def _largest_gap(schur):
+    # two blocks at the largest real-part gap outside conjugate pairs
+    gaps = np.diff(schur.eig_real_parts)
+    gaps[~schur.cuts] = -np.inf
+    if np.all(gaps == -np.inf):
+        raise UnsplittableError("every gap falls inside a conjugate-pair block")
+    best_i = int(np.argmax(gaps)) + 1  # first maximum: earliest index on ties
+    return Partition((best_i, schur.n - best_i))
 
 
 def eig_decomp_for_partition(z, p):
@@ -125,24 +147,24 @@ def eig_decomp_for_partition(z, p):
     -------
     w : ndarray, shape (n, n)
     blocks : list of ndarray
+        The diagonal blocks of ``inv(w) @ z @ w``.
     """
     schur = real_schur_ordered(z)
     if p.n != schur.n:
         raise ValueError("partition order must match z")
-    return _assemble_diagonalizer(schur, p)
+    w = _assemble_diagonalizer(schur, p)
+    d = np.linalg.solve(w, z @ w)
+    return w, [d[sl, sl] for sl in p.slices()]
 
 
-def _combination_solve(a, basis_obj, mu, alpha):
-    # shared tail of the greedy and exact solvers: combine the basis with
-    # the given coefficients, cluster the spectrum, decouple, and score
+def _combination_solve(a, basis_obj, cfg):
+    # greedy's path: a random combination of the basis, clustered by gap
+    if not basis_excluding_identity(basis_obj):  # always empty at order one
+        return _trivial_solution(a), SolveTrace(z=None, delta=basis_obj.delta)
+    alpha = np.random.default_rng(cfg.seed).standard_normal(len(basis_obj.basis))
     z = sum(c * zj for c, zj in zip(alpha, basis_obj.basis))
-    schur = real_schur_ordered(z)
-    partition = cluster_by_gap(schur, mu)
-    if partition.card == 1:
-        return _trivial_solution(a), SolveTrace(z=z, delta=basis_obj.delta)
-    w, _ = _assemble_diagonalizer(schur, partition)
-    cost = cost_ls(a, partition, w)
-    solution = Solution(partition=partition, w=w, cost=cost)
+    mu = cfg.resolve_mu(a.n, basis_obj.rank_cutoff)
+    solution = _solution_from_direction(a, z, lambda schur: cluster_by_gap(schur, mu))
     return solution, SolveTrace(z=z, delta=basis_obj.delta)
 
 
@@ -150,22 +172,17 @@ def greedy_solve_with_trace(a, cfg=None):
     """Like :func:`greedy_solve` but also returns the combined near-null
     direction and threshold for bound verification."""
     cfg = cfg if cfg is not None else SolverConfig()
-    basis_obj = delta_nullspace(a, cfg.gamma)
-    nontrivial = basis_excluding_identity(basis_obj)
-    if a.n < 2 or not nontrivial:
-        return _trivial_solution(a), SolveTrace(z=None, delta=basis_obj.delta)
-    rng = np.random.default_rng(cfg.seed)
-    alpha = rng.standard_normal(len(basis_obj.basis))
-    return _combination_solve(a, basis_obj, cfg.resolve_mu(a.n), alpha)
+    return _combination_solve(a, delta_nullspace(a, cfg.gamma), cfg)
 
 
 def greedy_solve(a, cfg=None):
     """One-shot randomized solve: a random combination of the near-null
     basis, gap clustering of its spectrum, and block decoupling.
 
-    Deterministic given ``cfg.seed``.  Returns the trivial solution,
-    flagged by ``no_split``, when the near-null space holds nothing beyond
-    the identity or the spectrum forms a single cluster.
+    Deterministic given ``cfg.seed``, and :func:`exact_solve` with that seed
+    on an exact set.  Returns the trivial solution, flagged by ``no_split``,
+    when the near-null space holds nothing beyond the identity or the
+    spectrum forms a single cluster.
 
     Parameters
     ----------
@@ -176,28 +193,21 @@ def greedy_solve(a, cfg=None):
     -------
     Solution
     """
-    solution, _ = greedy_solve_with_trace(a, cfg)
-    return solution
+    return greedy_solve_with_trace(a, cfg)[0]
 
 
 def exact_solve_with_trace(a, seed=0):
     """Like :func:`exact_solve` but also returns the combined null direction
     and threshold for bound verification."""
-    basis_obj = exact_nullspace(a)
-    nontrivial = basis_excluding_identity(basis_obj)
-    if a.n < 2 or not nontrivial:
-        return _trivial_solution(a), SolveTrace(z=None, delta=basis_obj.delta)
-    rng = np.random.default_rng(seed)
-    alpha = rng.standard_normal(len(basis_obj.basis))
-    return _combination_solve(a, basis_obj, _EXACT_CLUSTER_MU, alpha)
+    return _combination_solve(a, exact_nullspace(a), SolverConfig(seed=seed))
 
 
 def exact_solve(a, seed=0):
     """Solve assuming the set admits an exact joint block diagonalization.
 
-    Uses the numerical-rank null space of the coupling operator and splits
-    every numerically distinct eigenvalue cluster of a random combination,
-    which for almost all seeds yields a partition of maximal cardinality.
+    Greedy's path over the numerical-rank null space of the coupling
+    operator: it splits every numerically distinct eigenvalue cluster of a
+    random combination, which for almost all seeds gives maximal cardinality.
 
     Parameters
     ----------
@@ -208,37 +218,22 @@ def exact_solve(a, seed=0):
     -------
     Solution
     """
-    solution, _ = exact_solve_with_trace(a, seed)
-    return solution
+    return exact_solve_with_trace(a, seed)[0]
 
 
 def one_step_split_with_trace(a, gamma=1.2):
     """Like :func:`one_step_split` but also returns the trace-free split
     direction and threshold for bound verification."""
-    n = a.n
-    if n < 2:
-        raise UnsplittableError("cannot split a set of order 1")
     basis_obj = delta_nullspace(a, gamma)
     zs = basis_excluding_identity(basis_obj)
-    if not zs:
+    if not zs:  # always empty at order one
         raise UnsplittableError("near-null space holds nothing beyond the identity")
-    h = trace_gram(zs)
-    _, evecs = np.linalg.eigh(h)
-    alpha = evecs[:, -1]
+    alpha = np.linalg.eigh(trace_gram(zs))[1][:, -1]  # the top eigenvector
     pivot = int(np.argmax(np.abs(alpha)))
     if alpha[pivot] < 0.0:
         alpha = -alpha  # fix the eigenvector sign for determinism
     z = sum(c * zj for c, zj in zip(alpha, zs))
-    schur = real_schur_ordered(z)
-    gaps = np.diff(schur.eig_real_parts)
-    gaps[~schur.cuts] = -np.inf  # inside a conjugate pair
-    if np.all(gaps == -np.inf):
-        raise UnsplittableError("every gap falls inside a conjugate-pair block")
-    best_i = int(np.argmax(gaps)) + 1  # first maximum: earliest index on ties
-    partition = Partition((best_i, n - best_i))
-    w, _ = _assemble_diagonalizer(schur, partition)
-    cost = cost_ls(a, partition, w)
-    return partition, w, cost, SolveTrace(z=z, delta=basis_obj.delta)
+    return _solution_from_direction(a, z, _largest_gap), SolveTrace(z=z, delta=basis_obj.delta)
 
 
 def one_step_split(a, gamma=1.2):
@@ -258,18 +253,15 @@ def one_step_split(a, gamma=1.2):
 
     Returns
     -------
-    partition : Partition
-        Two blocks.
-    w : ndarray, shape (n, n)
-    cost : float
+    Solution
+        With a two-block partition.
 
     Raises
     ------
     UnsplittableError
         If no admissible split exists.
     """
-    partition, w, cost, _ = one_step_split_with_trace(a, gamma)
-    return partition, w, cost
+    return one_step_split_with_trace(a, gamma)[0]
 
 
 def _propose_split(block_cols, a, gamma):
@@ -281,10 +273,9 @@ def _propose_split(block_cols, a, gamma):
         np.array([block_cols.T @ mat @ block_cols for mat in a.mats])
     )
     try:
-        partition, w_block, cost = one_step_split(compressed, gamma)
+        return one_step_split(compressed, gamma)
     except (UnsplittableError, InseparableClustersError, DegenerateBlockBasisError):
         return None
-    return partition.sizes[0], w_block, cost
 
 
 def conservative_solve(a, cfg=None):
@@ -313,22 +304,21 @@ def conservative_solve(a, cfg=None):
     cost = 0.0
     proposals = [_propose_split(w, a, cfg.gamma)]
     while True:
-        finite = [p[2] if p is not None else np.inf for p in proposals]
+        finite = [p.cost if p is not None else np.inf for p in proposals]
         ell = int(np.argmin(finite))  # ties resolve to the smallest index
         if not np.isfinite(finite[ell]):
             break
-        first_size, w_block, _ = proposals[ell]
+        split = proposals[ell]
         col0 = sum(sizes[:ell])
         col1 = col0 + sizes[ell]
         w_hat = w.copy()
-        w_hat[:, col0:col1] = w[:, col0:col1] @ w_block
-        sizes_hat = sizes[:ell] + [first_size, sizes[ell] - first_size] + sizes[ell + 1:]
-        p_hat = Partition(tuple(sizes_hat))
-        cost_hat = cost_ls(a, p_hat, w_hat)
+        w_hat[:, col0:col1] = w[:, col0:col1] @ split.w
+        sizes_hat = sizes[:ell] + list(split.partition.sizes) + sizes[ell + 1:]
+        cost_hat = cost_ls(a, Partition(tuple(sizes_hat)), w_hat)
         if cost_hat > eps2:
             break
         sizes, w, cost = sizes_hat, w_hat, cost_hat
-        mid = col0 + first_size
+        mid = col0 + split.partition.sizes[0]
         proposals[ell:ell + 1] = [
             _propose_split(w[:, col0:mid], a, cfg.gamma),
             _propose_split(w[:, mid:col1], a, cfg.gamma),

@@ -36,7 +36,6 @@ from gjbd.matkernels import InseparableClustersError, perfect_shuffle, real_schu
 from gjbd.nullspace import MatrixSet, exact_nullspace
 from gjbd.partition import Partition, partition_equivalent
 from gjbd.solvers import (
-    Solution,
     SolverConfig,
     conservative_solve,
     eig_decomp_for_partition,
@@ -118,8 +117,7 @@ def test_criterion_3_bound_suites():
                     assert er.satisfied, (case, snr, trial, "imag", er)
                 runs += 1
                 # two-block split run: the same bounds plus the gap bound
-                partition2, w2, cost2, strace = one_step_split_with_trace(inst.a)
-                two = Solution(partition=partition2, w=w2, cost=cost2)
+                two, strace = one_step_split_with_trace(inst.a)
                 gap = gap_lower_bound(strace.z)
                 assert gap.satisfied, (case, snr, trial, "gap", gap)
                 rep2 = verify_offblock_bound(inst.a, strace.z, strace.delta, two)

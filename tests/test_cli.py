@@ -57,6 +57,14 @@ class TestSynth:
         doc = json.loads(path.read_text())
         assert doc["m"] == 3
 
+    @pytest.mark.parametrize("snr", ["-inf", "nan"])
+    def test_snr_neither_finite_nor_plus_inf(self, tmp_path, capsys, snr):
+        out = tmp_path / "set.json"
+        code = run("synth", "--partition", "2,2", f"--snr={snr}", "--out", out)
+        assert code == EXIT_PARSE
+        assert f"SNR '{snr}'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_exact_instance_greedy(self, tmp_path):
@@ -103,6 +111,24 @@ class TestSolve:
 
     def test_missing_file(self, tmp_path):
         assert run("solve", tmp_path / "absent.json") == EXIT_PARSE
+
+    @pytest.mark.parametrize("p_true", [[2.9, 2.1], [True, 3]], ids=["float", "bool"])
+    def test_non_integer_block_sizes(self, tmp_path, capsys, p_true):
+        # int() would read [2.9, 2.1] as (2, 2) and score the answer correct
+        doc = json.loads(synth(tmp_path, "set.json", "2,2", 3, 40, 0).read_text())
+        doc["p_true"] = p_true
+        inp = tmp_path / "bad.json"
+        inp.write_text(json.dumps(doc))
+        assert run("solve", inp) == EXIT_PARSE
+        assert "p_true" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("n", 4.0), ("m", True)], ids=["n-float", "m-bool"])
+    def test_non_integer_order(self, tmp_path, key, value):
+        doc = json.loads(synth(tmp_path, "set.json", "2,2", 1, 40, 0).read_text())
+        doc[key] = value
+        inp = tmp_path / "bad.json"
+        inp.write_text(json.dumps(doc))
+        assert run("solve", inp) == EXIT_PARSE
 
     def test_non_numeric_entries(self, tmp_path):
         inp = tmp_path / "bad.json"
@@ -172,6 +198,13 @@ class TestBench:
             assert fields[0] == "inf"
             assert float(fields[5]) <= 1e-8  # pi
 
+    def test_snr_neither_finite_nor_plus_inf(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--case", "1", "--snrs=40,-inf", "--trials", 1,
+                   "--out", out) == EXIT_PARSE
+        assert "SNR '-inf'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_custom_needs_partition(self, tmp_path):
         assert run("bench", "--case", "custom", "--out", tmp_path / "x.csv") == EXIT_PARSE
 
@@ -201,6 +234,8 @@ class TestCheck:
         assert rep["bounds"]["offblock"]["satisfied"] is True
         assert all(r["satisfied"] for r in rep["bounds"]["imag"])
         assert rep["bounds"]["gap"]["satisfied"] is True
+        assert rep["bounds"]["split_offblock"]["satisfied"] is True
+        assert all(r["satisfied"] for r in rep["bounds"]["split_imag"])
         assert rep["all_checks_passed"] is True
 
     def test_rescoring_reproduces_cost(self, tmp_path):
@@ -235,6 +270,19 @@ class TestCheck:
         assert run("check", inp, "--result", res, "--bounds") == EXIT_PARSE
         err = capsys.readouterr().err
         assert "error:" in err and "parameters" in err
+
+    @pytest.mark.parametrize("partition", [[2.9, 2.9], [True, 3]], ids=["float", "bool"])
+    def test_non_integer_result_partition(self, tmp_path, capsys, partition):
+        # int() would read [2.9, 2.9] as (2, 2) and pass every check
+        inp = synth(tmp_path, "set.json", "2,2", 8, 40, 11)
+        res = tmp_path / "res.json"
+        run("solve", inp, "--method", "greedy", "--seed", 11, "--out", res)
+        doc = json.loads(res.read_text())
+        doc["partition"] = partition
+        res.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("check", inp, "--result", res) == EXIT_PARSE
+        assert "result partition" in capsys.readouterr().err
 
     def test_list_seed_passes_bounds(self, tmp_path):
         # the benchmark's exact-diagnose result files store the seed as a list

@@ -57,6 +57,11 @@ class TestGenerateModel:
         with pytest.raises(ValueError):
             generate_model(Partition((2,)), m=0, snr=10, seed=0)
 
+    @pytest.mark.parametrize("snr", [-np.inf, np.nan], ids=["-inf", "nan"])
+    def test_rejects_snr_neither_finite_nor_plus_inf(self, snr):
+        with pytest.raises(ValueError, match="SNR"):
+            generate_model(Partition((2, 2)), m=3, snr=snr, seed=0)
+
 
 class TestNonuniqueExample:
     def test_both_solutions_have_zero_cost(self):

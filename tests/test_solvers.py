@@ -4,7 +4,7 @@ import pytest
 from gjbd.analysis import bdiag, cost_ls, performance_index, verify_offblock_bound
 from gjbd.datagen import generate_model, nonunique_example
 from gjbd.matkernels import InseparableClustersError
-from gjbd.nullspace import MatrixSet
+from gjbd.nullspace import MatrixSet, delta_nullspace, exact_nullspace
 from gjbd.partition import Partition, partition_equivalent
 from gjbd.solvers import (
     SolverConfig,
@@ -86,6 +86,27 @@ class TestGreedySolve:
         # standard deviations of a 200-draw rate below it
         assert matches >= 0.9 * len(seeds)
 
+    @pytest.mark.parametrize("i", range(3))
+    def test_exact_set_takes_exact_path(self, i):
+        # on an exact set the near-null space falls back to the rank cutoff,
+        # so greedy is exact mode's path: its answer is exact_solve's for the
+        # same seed, byte for byte, and finds every true block
+        p = Partition((2,) * 8)
+        a = generate_model(p, 4, np.inf, [i, 7]).a
+        assert delta_nullspace(a, 1.2).rank_cutoff
+        for seed in range(100):
+            got = greedy_solve(a, SolverConfig(seed=seed))
+            want = exact_solve(a, seed)
+            assert got.partition == want.partition, seed
+            assert got.w.tobytes() == want.w.tobytes(), seed
+            assert repr(got.cost) == repr(want.cost), seed
+            assert got.partition.card == p.card, seed
+
+    def test_noisy_set_is_not_rank_cutoff(self):
+        a = generate_model(Partition((3, 3, 3)), 20, 40, 0).a
+        assert not delta_nullspace(a, 1.2).rank_cutoff
+        assert exact_nullspace(a).rank_cutoff
+
     def test_deterministic_given_seed(self):
         inst = generate_model(Partition((2, 3)), m=8, snr=40, seed=1)
         cfg = SolverConfig(seed=11)
@@ -115,15 +136,15 @@ class TestGreedySolve:
 class TestOneStepSplit:
     def test_exact_two_block_set(self):
         inst = generate_model(Partition((2, 3)), m=10, snr=np.inf, seed=3)
-        partition, w, cost = one_step_split(inst.a)
-        assert sorted(partition.sizes) == [2, 3]
-        assert cost <= 1e-16 * inst.a.total_sq_norm()
+        split = one_step_split(inst.a)
+        assert sorted(split.partition.sizes) == [2, 3]
+        assert split.cost <= 1e-16 * inst.a.total_sq_norm()
 
     def test_identity_pair_splits_cleanly(self):
         a = MatrixSet(np.eye(2)[None])
-        partition, w, cost, trace = one_step_split_with_trace(a)
-        assert partition.sizes == (1, 1)
-        assert cost <= 1e-20
+        split, trace = one_step_split_with_trace(a)
+        assert split.partition.sizes == (1, 1)
+        assert split.cost <= 1e-20
         assert abs(np.trace(trace.z)) <= 1e-12
         # the chosen direction maximizes trace(z @ z) at unit coefficients
         assert abs(float(np.trace(trace.z @ trace.z)) - 1.0) <= 1e-10
@@ -134,7 +155,7 @@ class TestOneStepSplit:
 
     def test_trace_free_direction(self):
         inst = generate_model(Partition((2, 2)), m=6, snr=30, seed=4)
-        _, _, _, trace = one_step_split_with_trace(inst.a)
+        _, trace = one_step_split_with_trace(inst.a)
         assert abs(np.trace(trace.z)) <= 1e-10
 
 
@@ -314,6 +335,11 @@ class TestSolverConfig:
     def test_default_mu(self):
         cfg = SolverConfig()
         assert cfg.resolve_mu(9) == 1.0 / 64.0
+        assert cfg.resolve_mu(9, rank_cutoff=True) == 1e-6
+
+    def test_explicit_mu_wins(self):
+        cfg = SolverConfig(mu=0.25)
+        assert cfg.resolve_mu(9) == cfg.resolve_mu(9, rank_cutoff=True) == 0.25
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -329,3 +355,28 @@ class TestSolverConfig:
     def test_rejects_non_finite(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+
+_ENTRY_POINTS = {
+    "greedy": lambda a, seed, eps: greedy_solve(a, SolverConfig(seed=seed)),
+    "exact": lambda a, seed, eps: exact_solve(a, seed),
+    "consv": lambda a, seed, eps: conservative_solve(a, SolverConfig(epsilon=eps)),
+    "one_step_split": lambda a, seed, eps: one_step_split(a),
+}
+
+
+@pytest.mark.parametrize("method", _ENTRY_POINTS)
+@pytest.mark.parametrize("sizes, m, snr", [((3, 3, 3), 20, 40.0), ((1, 2, 3, 4), 20, 60.0),
+                                           ((2, 2, 2), 4, np.inf)],
+                         ids=["case1-snr40", "case2-snr60", "exact-2,2,2"])
+def test_solution_contract(method, sizes, m, snr):
+    # every entry point returns a Solution whose partition sums to n, whose
+    # diagonalizer has orthonormal blocks (to 1e-12 n, within the contract's
+    # 1e-8) and whose cost is exactly cost_ls's
+    for seed in range(3):
+        a = generate_model(Partition(sizes), m, snr, seed).a
+        n = a.n
+        eps = 1e-8 * np.sqrt(a.total_sq_norm()) if np.isinf(snr) else 3 * n * n * 10 ** (-snr / 20)
+        solution = _ENTRY_POINTS[method](a, seed, eps)
+        check_solution_invariants(a, solution)
+        assert solution.cost == cost_ls(a, solution.partition, solution.w)
