@@ -92,6 +92,11 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value):
+    # a JSON number; an int past the float range would overflow the solvers' arithmetic
+    return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
+
+
 def _partition_from_json(sizes, n, what):
     # JSON integers only: int() would truncate 2.9 and read true as 1
     if not (isinstance(sizes, list) and sizes and all(_is_int(s) and s >= 1 for s in sizes)):
@@ -254,6 +259,8 @@ def cmd_bench(args):
         if args.partition is None:
             raise InputError("--case custom requires --partition")
         p, m = _parse_partition(args.partition), args.m
+    if args.trials < 1:
+        raise InputError(f"--trials must be at least 1, got {args.trials}")
     snrs = [_parse_snr(tok) for tok in args.snrs.split(",")]
     methods = [tok.strip() for tok in args.methods.split(",")]
     for method in methods:
@@ -321,18 +328,14 @@ def _load_parameters(params, path):
     benchmark's result files a list.  The values must also pass
     SolverConfig's own checks (a NaN or infinite ``gamma`` does not).
     """
-    def is_number(value):
-        # an int past the float range would overflow the solvers' arithmetic
-        return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
-
     if not isinstance(params, dict):
         raise InputError(f"{path}: parameters must be an object")
     gamma, mu, epsilon = params.get("gamma", 1.2), params.get("mu"), params.get("epsilon")
     seed = params.get("seed", 0)
-    if not is_number(gamma):
+    if not _is_number(gamma):
         raise InputError(f"{path}: parameters.gamma must be a number")
     for key, value in (("mu", mu), ("epsilon", epsilon)):
-        if value is not None and not is_number(value):
+        if value is not None and not _is_number(value):
             raise InputError(f"{path}: parameters.{key} must be a number or null")
     if not (_is_int(seed) or isinstance(seed, list) and all(map(_is_int, seed))):
         raise InputError(f"{path}: parameters.seed must be an int or a list of ints")
@@ -347,12 +350,15 @@ def _load_result(path, n):
     try:
         partition = _partition_from_json(doc["partition"], n, f"{path}: result partition")
         w = _matrix_from_flat(doc["w"], n, "result w")
-        cost = float(doc["cost"])
-        method = doc["method"]
+        cost, method = doc["cost"], doc["method"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed result document") from exc
+    if method not in _METHODS:
+        raise InputError(f"{path}: result method must be one of {', '.join(_METHODS)}")
+    if not _is_number(cost):
+        raise InputError(f"{path}: result cost must be a number")
     cfg = _load_parameters(doc.get("parameters", {}), path)
-    return Solution(partition=partition, w=w, cost=cost), method, cfg
+    return Solution(partition=partition, w=w, cost=float(cost)), method, cfg
 
 
 def cmd_check(args):

@@ -1,9 +1,9 @@
 """Dense matrix kernels: perfect shuffle, ordered real Schur form, Sylvester-based
 block diagonalization, economic QR, principal angles and separation estimates.
 
-The Schur form is reordered with LAPACK ``dtrexc`` (Bai-Demmel block swaps)
-and the clusters are decoupled with LAPACK ``dtrsyl`` (Bartels-Stewart),
-guarded by the ``dtrsen`` separation estimate."""
+The Schur form is reordered with LAPACK ``dtrexc`` (Bai-Demmel block swaps);
+each cluster is decoupled from all earlier ones by one ``dtrsyl`` solve
+(Bartels-Stewart), guarded by the ``dtrsen`` separation estimate of it."""
 
 from dataclasses import dataclass
 
@@ -21,11 +21,13 @@ class SchurConvergenceError(NumericalError):
 
 
 class InseparableClustersError(NumericalError):
-    """Two eigenvalue clusters share (nearly) common eigenvalues, so the
-    Sylvester system that decouples them is numerically singular."""
+    """The Sylvester system that decouples cluster ``k`` from clusters
+    ``0..k-1`` is numerically singular; ``clusters == (k - 1, k)`` names the
+    boundary at which decoupling failed."""
 
     def __init__(self, j, k):
-        super().__init__(f"clusters {j} and {k} have numerically inseparable spectra")
+        super().__init__(f"cluster {k} cannot be decoupled from clusters 0..{j}: "
+                         "numerically inseparable spectra")
         self.clusters = (j, k)
 
 
@@ -148,17 +150,16 @@ def real_schur_ordered(z):
     return SchurForm(q=q, t=t)
 
 
-def _solve_cluster_sylvester(tjj, tkk, rhs, tnorm, j, k):
-    # Solve tjj @ X - X @ tkk = rhs by Bartels-Stewart, guarding with the
-    # dtrsen estimate of sep(tjj, tkk) against clusters that cannot be
-    # decoupled even when their eigenvalues lie apart.
-    nj, nk = tjj.shape[0], tkk.shape[0]
-    select = np.arange(nj + nk) < nj
-    *_, sep, _ = lapack.dtrsen(select, scipy.linalg.block_diag(tjj, tkk), np.eye(nj + nk),
-                               job="V", wantq=0, lwork=2 * nj * nk, liwork=nj * nk)
-    x, scale, info = lapack.dtrsyl(tjj, tkk, rhs, isgn=-1)
+def _solve_cluster_sylvester(t, e0, e1, tnorm, k):
+    # Solve T11 @ X - X @ Tkk = -T1k for cluster k at positions e0:e1 against
+    # all earlier clusters, guarded by the dtrsen estimate of sep(T11, Tkk)
+    # against clusters that cannot be decoupled though their eigenvalues differ.
+    nk = e1 - e0
+    *_, sep, _ = lapack.dtrsen(np.arange(e1) < e0, t[:e1, :e1], np.eye(e1),
+                               job="V", wantq=0, lwork=2 * e0 * nk, liwork=e0 * nk)
+    x, scale, info = lapack.dtrsyl(t[:e0, :e0], t[e0:e1, e0:e1], -t[:e0, e0:e1], isgn=-1)
     if sep <= 1e3 * np.finfo(float).eps * tnorm or info != 0:
-        raise InseparableClustersError(j, k)
+        raise InseparableClustersError(k - 1, k)
     return x / scale
 
 
@@ -168,7 +169,9 @@ def block_diagonalize_similarity(schur, boundaries):
 
     Finds nonsingular ``w`` (block upper triangular with identity diagonal
     blocks) such that ``inv(w) @ schur.t @ w`` is block diagonal, one block
-    per cluster delimited by ``boundaries``.
+    per cluster delimited by ``boundaries``, equal to the diagonal blocks of
+    ``schur.t``.  One Sylvester solve per cluster after the first fills its
+    block column of ``w``.
 
     Parameters
     ----------
@@ -181,14 +184,11 @@ def block_diagonalize_similarity(schur, boundaries):
     Returns
     -------
     w : ndarray, shape (n, n)
-    blocks : list of ndarray
-        Diagonal blocks; block ``j`` carries exactly the eigenvalues of
-        cluster ``j``.
 
     Raises
     ------
     InseparableClustersError
-        If two clusters share (nearly) common eigenvalues.
+        If a cluster cannot be decoupled from the clusters before it.
     """
     t = schur.t
     n = t.shape[0]
@@ -200,23 +200,12 @@ def block_diagonalize_similarity(schur, boundaries):
     if not schur.cuts[np.asarray(boundaries, dtype=int) - 1].all():
         raise ValueError("a boundary splits a 2x2 conjugate-pair block")
 
-    edges = [0] + boundaries + [n]
-    s = len(edges) - 1
-    cl = [slice(edges[j], edges[j + 1]) for j in range(s)]
+    edges = boundaries + [n]
     tnorm = np.linalg.norm(t)
     w = np.eye(n)
-    # annihilate couplings by superdiagonals so every needed w block is known
-    for d in range(1, s):
-        for j in range(s - d):
-            k = j + d
-            rhs = -t[cl[j], cl[k]].copy()
-            for p in range(j + 1, k):
-                rhs -= t[cl[j], cl[p]] @ w[cl[p], cl[k]]
-            w[cl[j], cl[k]] = _solve_cluster_sylvester(
-                t[cl[j], cl[j]], t[cl[k], cl[k]], rhs, tnorm, j, k
-            )
-    blocks = [t[c, c].copy() for c in cl]
-    return w, blocks
+    for k, (e0, e1) in enumerate(zip(edges, edges[1:]), start=1):
+        w[:e0, e0:e1] = _solve_cluster_sylvester(t, e0, e1, tnorm, k)
+    return w
 
 
 def economic_qr(a):

@@ -103,7 +103,7 @@ def _trivial_solution(a):
 def _assemble_diagonalizer(schur, p):
     # Sylvester decoupling of the ordered Schur factor followed by a per
     # cluster orthonormalization
-    w_syl, _ = block_diagonalize_similarity(schur, p.boundaries())
+    w_syl = block_diagonalize_similarity(schur, p.boundaries())
     cols = [economic_qr(w_syl[:, sl])[0] for sl in p.slices()]
     return schur.q @ np.hstack(cols)
 

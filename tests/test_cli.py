@@ -208,6 +208,14 @@ class TestBench:
     def test_custom_needs_partition(self, tmp_path):
         assert run("bench", "--case", "custom", "--out", tmp_path / "x.csv") == EXIT_PARSE
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one(self, tmp_path, capsys, trials):
+        # no trial would run, leaving a header-only CSV
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--case", "1", "--trials", trials, "--out", out) == EXIT_PARSE
+        assert f"--trials must be at least 1, got {trials}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCheck:
     def test_nonunique_fixture_equivalence(self, tmp_path):
@@ -283,6 +291,22 @@ class TestCheck:
         capsys.readouterr()
         assert run("check", inp, "--result", res) == EXIT_PARSE
         assert "result partition" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("method", lambda cost: 7), ("cost", repr),
+                                            ("cost", lambda cost: True)],
+                             ids=["method-int", "cost-string", "cost-bool"])
+    def test_malformed_result_field(self, tmp_path, capsys, key, value):
+        # an unknown method skipped the re-solve bounds without a word, and
+        # float() read a cost stored as a string, or true as 1.0
+        inp = synth(tmp_path, "set.json", "2,3", 8, 40, 11)
+        res = tmp_path / "res.json"
+        run("solve", inp, "--method", "greedy", "--seed", 11, "--out", res)
+        doc = json.loads(res.read_text())
+        doc[key] = value(doc["cost"])
+        res.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("check", inp, "--result", res, "--bounds") == EXIT_PARSE
+        assert f"result {key}" in capsys.readouterr().err
 
     def test_list_seed_passes_bounds(self, tmp_path):
         # the benchmark's exact-diagnose result files store the seed as a list

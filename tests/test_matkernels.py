@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gjbd.matkernels
 from gjbd.matkernels import (
     DegenerateBlockBasisError,
     InseparableClustersError,
@@ -103,18 +104,17 @@ class TestRealSchurOrdered:
 class TestBlockDiagonalizeSimilarity:
     def test_hand_sylvester_example(self):
         sf = real_schur_ordered(np.array([[1.0, 5.0], [0.0, 2.0]]))
-        w, blocks = block_diagonalize_similarity(sf, [1])
+        w = block_diagonalize_similarity(sf, [1])
         assert np.allclose(w, [[1.0, 5.0], [0.0, 1.0]])
-        assert np.allclose(blocks[0], [[1.0]])
-        assert np.allclose(blocks[1], [[2.0]])
+        assert np.allclose(sf.t[:1, :1], [[1.0]])
+        assert np.allclose(sf.t[1:, 1:], [[2.0]])
         assert np.allclose(np.linalg.solve(w, sf.t @ w), np.diag([1.0, 2.0]))
 
     def test_already_block_diagonal_gives_identity(self):
         z = np.diag([1.0, 2.0, 4.0])
         sf = real_schur_ordered(z)
-        w, blocks = block_diagonalize_similarity(sf, [1, 2])
+        w = block_diagonalize_similarity(sf, [1, 2])
         assert np.allclose(w, np.eye(3))
-        assert len(blocks) == 3
 
     def test_inseparable_clusters(self):
         sf = real_schur_ordered(np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -122,28 +122,55 @@ class TestBlockDiagonalizeSimilarity:
             block_diagonalize_similarity(sf, [1])
         assert err.value.clusters == (0, 1)
 
-    @pytest.mark.parametrize("c, separable", [(1e7, False), (1e3, True)])
-    def test_nonnormal_pair_with_distinct_eigenvalues(self, c, separable):
+    @pytest.mark.parametrize("c, separable, boundaries, failing", [
+        (1e7, False, [2], (0, 1)), (1e3, True, [2], None),
+        (1e7, False, [1, 2], (1, 2)), (1e3, True, [1, 2], None),
+    ], ids=["10000000.0-False", "1000.0-True", "10000000.0-False-[1, 2]", "1000.0-True-[1, 2]"])
+    def test_nonnormal_pair_with_distinct_eigenvalues(self, c, separable, boundaries, failing):
         # cluster {1, 1.001} lies 0.5 away from cluster {1.5}, but a large
         # coupling inside the first cluster can drive their separation
-        # below the 1e3 * eps * ||T|| guard
+        # below the 1e3 * eps * ||T|| guard; cutting {1, 1.001} in two must
+        # not hide that, although each of the three pairs is well separated
         z = np.array([[1.0, 0.0, c], [0.0, 1.5, 0.0], [0.0, 0.0, 1.001]])
         sf = real_schur_ordered(z)
         if not separable:
             with pytest.raises(InseparableClustersError) as err:
-                block_diagonalize_similarity(sf, [2])
-            assert err.value.clusters == (0, 1)
+                block_diagonalize_similarity(sf, boundaries)
+            assert err.value.clusters == failing
             return
-        w, blocks = block_diagonalize_similarity(sf, [2])
+        w = block_diagonalize_similarity(sf, boundaries)
         recon = np.linalg.solve(w, sf.t @ w)
         tol = 1e3 * np.finfo(float).eps * np.linalg.cond(w) * np.linalg.norm(sf.t)
         assert np.linalg.norm(recon[:2, 2:]) + np.linalg.norm(recon[2:, :2]) <= tol
-        assert np.allclose(blocks[1], [[1.5]])
+        assert np.allclose(sf.t[2:, 2:], [[1.5]])
 
     def test_rejects_pair_splitting_boundary(self):
         sf = real_schur_ordered(np.array([[0.0, -1.0], [1.0, 0.0]]))
         with pytest.raises(ValueError):
             block_diagonalize_similarity(sf, [1])
+
+    def test_one_sylvester_solve_per_cluster(self, monkeypatch):
+        # each cluster is decoupled from all earlier ones at once: 8 clusters
+        # take 7 solves, not one per pair of clusters
+        orders = []
+        dtrsyl = gjbd.matkernels.lapack.dtrsyl
+
+        def counting(*args, **kwargs):
+            orders.append(args[0].shape[0])
+            return dtrsyl(*args, **kwargs)
+
+        monkeypatch.setattr(gjbd.matkernels.lapack, "dtrsyl", counting)
+        rng = np.random.default_rng(0)
+        z = np.triu(rng.standard_normal((16, 16)), 1) + np.diag(np.arange(16.0))
+        sf = real_schur_ordered(z)
+        boundaries = list(range(2, 16, 2))
+        w = block_diagonalize_similarity(sf, boundaries)
+        # solve k runs against the leading block of clusters 0..k-1
+        assert orders == boundaries
+        recon = np.linalg.solve(w, sf.t @ w)
+        mask = np.kron(np.eye(8), np.ones((2, 2))) == 0
+        tol = 1e3 * np.finfo(float).eps * np.linalg.cond(w) * np.linalg.norm(sf.t)
+        assert np.linalg.norm(recon[mask]) <= tol
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_residual_and_spectra(self, seed):
@@ -157,19 +184,18 @@ class TestBlockDiagonalizeSimilarity:
         k = int(rng.integers(1, min(3, len(allowed)) + 1))
         boundaries = sorted(rng.choice(allowed, size=k, replace=False).tolist())
         try:
-            w, blocks = block_diagonalize_similarity(sf, boundaries)
+            w = block_diagonalize_similarity(sf, boundaries)
         except InseparableClustersError:
             return
         recon = np.linalg.solve(w, sf.t @ w)
         target = np.zeros((n, n))
         edges = [0] + boundaries + [n]
-        for j, blk in enumerate(blocks):
-            target[edges[j]:edges[j + 1], edges[j]:edges[j + 1]] = blk
+        for j in range(len(edges) - 1):
+            sl = slice(edges[j], edges[j + 1])
+            target[sl, sl] = sf.t[sl, sl]
             # the block carries exactly the eigenvalues of its cluster
-            got = np.sort_complex(np.linalg.eigvals(blk))
-            want = np.sort_complex(
-                np.linalg.eigvals(sf.t[edges[j]:edges[j + 1], edges[j]:edges[j + 1]])
-            )
+            got = np.sort_complex(np.linalg.eigvals(recon[sl, sl]))
+            want = np.sort_complex(np.linalg.eigvals(sf.t[sl, sl]))
             assert np.allclose(got, want)
         kappa = np.linalg.cond(w)
         tol = 1e3 * np.finfo(float).eps * kappa * np.linalg.norm(sf.t)
