@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matkernels import economic_qr, largest_principal_angle, sep_lower
+from .matkernels import _largest_angle, _orthonormal_basis, economic_qr, sep_lower
 from .nullspace import MatrixSet, _gram, exact_nullspace
 
 _REL_SLACK = 1e-8
@@ -104,6 +104,11 @@ def performance_index(v_inv, w, p_true, p_hat):
     result is exact while the search stays within its node budget; past the
     budget it is the best grouping found, hence an upper bound.
 
+    Each true block is orthonormalized once per call, and each group once
+    when first scored; a group's angle comes from those two bases by the
+    same routine as :func:`largest_principal_angle`, so both give the same
+    value on the same columns.
+
     Parameters
     ----------
     v_inv : ndarray, shape (n, n)
@@ -124,7 +129,7 @@ def performance_index(v_inv, w, p_true, p_hat):
         raise ValueError("dimension mismatch between v_inv, w and partitions")
     if p_hat.n != p_true.n:
         return None
-    true_blocks = [v_inv[:, sl] for sl in p_true.slices()]
+    true_bases = [_orthonormal_basis(v_inv[:, sl]) for sl in p_true.slices()]
     hat_slices = p_hat.slices()
     angle_cache = {}
 
@@ -132,7 +137,7 @@ def performance_index(v_inv, w, p_true, p_hat):
         key = (k, tuple(sorted(block_ids)))
         if key not in angle_cache:
             cols = np.hstack([w[:, hat_slices[j]] for j in key[1]])
-            angle_cache[key] = largest_principal_angle(true_blocks[k], cols)
+            angle_cache[key] = _largest_angle(true_bases[k], _orthonormal_basis(cols))
         return angle_cache[key]
 
     order = sorted(range(p_hat.card), key=lambda j: -p_hat.sizes[j])

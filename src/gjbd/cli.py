@@ -98,12 +98,16 @@ def _is_number(value):
 
 
 def _partition_from_json(sizes, n, what):
-    # JSON integers only: int() would truncate 2.9 and read true as 1
-    if not (isinstance(sizes, list) and sizes and all(_is_int(s) and s >= 1 for s in sizes)):
+    # Partition accepts JSON integers only, rejecting 2.9, 2.0 and true
+    if not (isinstance(sizes, list) and sizes):
         raise InputError(f"{what} must be a nonempty list of positive integers")
-    if sum(sizes) != n:
+    try:
+        p = Partition(tuple(sizes))
+    except ValueError as exc:
+        raise InputError(f"{what}: {exc}") from exc
+    if p.n != n:
         raise InputError(f"{what} does not sum to n")
-    return Partition(tuple(sizes))
+    return p
 
 
 def _matrix_from_flat(flat, n, what):
@@ -427,12 +431,16 @@ def build_parser():
     p_solve = sub.add_parser("solve", help="solve a matrix-set file")
     p_solve.add_argument("input", help="matrix-set JSON file")
     p_solve.add_argument("--method", choices=_METHODS, default="greedy")
-    p_solve.add_argument("--gamma", type=float, default=1.2)
+    p_solve.add_argument("--gamma", type=float, default=1.2,
+                         help="near-null threshold multiplier, > 1; read by greedy and consv")
     p_solve.add_argument("--mu", type=float, default=None,
-                         help="relative gap threshold; default 1/(8(n-1))")
+                         help="relative gap threshold, read by greedy only; default "
+                              "1/(8(n-1)), or 1e-6 when the near-null space is cut at "
+                              "numerical rank (an exact set)")
     p_solve.add_argument("--epsilon", type=float, default=0.0,
-                         help="cost tolerance for --method consv")
-    p_solve.add_argument("--seed", type=int, default=0)
+                         help="cost tolerance, read by consv only")
+    p_solve.add_argument("--seed", type=int, default=0,
+                         help="seed of the random combination, read by greedy and exact")
     p_solve.add_argument("--out", default=None, help="result JSON path (default stdout)")
     p_solve.set_defaults(func=cmd_solve)
 

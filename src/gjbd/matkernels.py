@@ -240,8 +240,6 @@ def economic_qr(a):
 
 def _orthonormal_basis(a):
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.shape[0] == 1 and a.shape[1] > 1:
-        a = a.T
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         raise ValueError("subspace basis is zero")
@@ -268,10 +266,20 @@ def largest_principal_angle(e, f):
     float
         Angle in [0, pi/2].
     """
-    ue = _orthonormal_basis(e)
-    uf = _orthonormal_basis(f)
-    angles = scipy.linalg.subspace_angles(ue, uf)
-    return float(angles[0]) if angles.size else 0.0
+    return _largest_angle(_orthonormal_basis(e), _orthonormal_basis(f))
+
+
+def _largest_angle(ue, uf):
+    # largest principal angle between two orthonormal bases (Bjorck & Golub
+    # 1973): the smallest cosine, or the sine from the residual of projecting
+    # the narrower basis, which stays accurate where the cosine does not
+    if ue.shape[1] < uf.shape[1]:
+        ue, uf = uf, ue
+    cross = ue.T @ uf
+    cos = np.linalg.svd(cross, compute_uv=False)[-1]
+    if cos * cos < 0.5:
+        return float(np.arccos(min(cos, 1.0)))
+    return float(np.arcsin(min(np.linalg.norm(uf - ue @ cross, 2), 1.0)))
 
 
 def sep_lower(g_j, g_k):

@@ -3,9 +3,18 @@ clustering of the eigenvalue real parts of an ordered Schur form, block
 permutations, and the test that a computed partition has the block sizes
 of a reference one."""
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _block_size(s):
+    # operator.index takes Python and NumPy integers, where int() would
+    # truncate 2.9 and read True as 1
+    if isinstance(s, bool):
+        raise TypeError("a block size cannot be a bool")
+    return operator.index(s)
 
 
 @dataclass(frozen=True)
@@ -15,7 +24,10 @@ class Partition:
     sizes: tuple
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        try:
+            sizes = tuple(map(_block_size, self.sizes))
+        except TypeError as exc:
+            raise ValueError("sizes must be a sequence of integers, not bools or floats") from exc
         if not sizes or any(s < 1 for s in sizes):
             raise ValueError("sizes must be a nonempty tuple of positive integers")
         object.__setattr__(self, "sizes", sizes)

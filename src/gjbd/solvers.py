@@ -10,12 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import cost_ls
+from .analysis import cost_ls, normalize
 from .matkernels import (
     DegenerateBlockBasisError,
     InseparableClustersError,
     block_diagonalize_similarity,
-    economic_qr,
     real_schur_ordered,
 )
 from .nullspace import (
@@ -57,10 +56,16 @@ class Solution:
 class SolverConfig:
     """Tuning knobs shared by the solvers.
 
-    ``mu = None`` resolves to a default relative gap threshold, see
-    :meth:`resolve_mu`; ``epsilon`` is the cost tolerance used by the
-    conservative solver; ``seed`` feeds the random combination drawn by the
-    greedy solver.
+    Each method reads only some of them:
+
+    - ``gamma``, the near-null threshold multiplier: greedy and conservative;
+    - ``mu``, the relative gap threshold: greedy only; ``None`` resolves to
+      a default, see :meth:`resolve_mu`;
+    - ``epsilon``, the cost tolerance: conservative only;
+    - ``seed``, of the random combination: greedy and exact.
+
+    Exact mode takes only the seed and clusters with its own ``mu``; the
+    conservative solver splits deterministically at the largest gap.
     """
 
     gamma: float = 1.2
@@ -103,9 +108,7 @@ def _trivial_solution(a):
 def _assemble_diagonalizer(schur, p):
     # Sylvester decoupling of the ordered Schur factor followed by a per
     # cluster orthonormalization
-    w_syl = block_diagonalize_similarity(schur, p.boundaries())
-    cols = [economic_qr(w_syl[:, sl])[0] for sl in p.slices()]
-    return schur.q @ np.hstack(cols)
+    return schur.q @ normalize(block_diagonalize_similarity(schur, p.boundaries()), p)
 
 
 def _solution_from_direction(a, z, pick):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+
+import gjbd.analysis
 
 from gjbd.analysis import (
     bdiag,
@@ -16,7 +19,7 @@ from gjbd.datagen import generate_model, nonunique_example
 from gjbd.matkernels import largest_principal_angle
 from gjbd.nullspace import MatrixSet
 from gjbd.partition import Partition, block_permutation
-from gjbd.solvers import SolverConfig, Solution, greedy_solve_with_trace
+from gjbd.solvers import SolverConfig, Solution, exact_solve, greedy_solve_with_trace
 
 
 def all_groupings(hat_sizes, room):
@@ -188,6 +191,41 @@ class TestPerformanceIndex:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             performance_index(np.eye(3), np.eye(4), Partition((3,)), Partition((4,)))
+
+    def test_one_basis_per_true_block(self, monkeypatch):
+        # each true block is orthonormalized once, up front, and each scored
+        # group once; no angle goes through scipy's subspace_angles
+        p_true = Partition((2,) * 8)
+        inst = generate_model(p_true, m=4, snr=np.inf, seed=3)
+        v_inv = inst.v_inv()
+        sol = exact_solve(inst.a, seed=3)
+        assert sol.partition.card == p_true.card
+        inputs, outputs, keys = [], [], []
+        orthonormal_basis = gjbd.analysis._orthonormal_basis
+        largest_angle = gjbd.analysis._largest_angle
+
+        def counted_basis(a):
+            inputs.append(np.array(a))
+            outputs.append(orthonormal_basis(a))
+            return outputs[-1]
+
+        def counted_angle(ue, uf):
+            true_block = next(k for k, u in enumerate(outputs[:p_true.card]) if u is ue)
+            keys.append((true_block, uf.tobytes()))
+            return largest_angle(ue, uf)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("subspace_angles called")
+
+        monkeypatch.setattr(gjbd.analysis, "_orthonormal_basis", counted_basis)
+        monkeypatch.setattr(gjbd.analysis, "_largest_angle", counted_angle)
+        monkeypatch.setattr(scipy.linalg, "subspace_angles", forbidden)
+        assert performance_index(v_inv, sol.w, p_true, sol.partition) <= 1e-8
+        for a, sl in zip(inputs, p_true.slices()):
+            assert np.array_equal(a, v_inv[:, sl])
+        # one basis per true block, then one per distinct (block, group) key
+        assert len(set(keys)) == len(keys) > 0
+        assert len(inputs) == p_true.card + len(keys)
 
     def test_huge_grouping_count_stays_bounded(self):
         # all-singleton refinement of four equal groups: enumeration must not

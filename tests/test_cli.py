@@ -122,6 +122,18 @@ class TestSolve:
         assert run("solve", inp) == EXIT_PARSE
         assert "p_true" in capsys.readouterr().err
 
+    def test_rank_deficient_true_block(self, tmp_path, capsys):
+        # the first true block of v_inv has no two-dimensional column space to
+        # score against, whatever the answer
+        doc = json.loads(synth(tmp_path, "set.json", "2,2,2,2", 4, "inf", 0).read_text())
+        n = doc["n"]
+        for i in range(n):
+            doc["v_inv"][i * n] = 0.0
+        inp = tmp_path / "bad.json"
+        inp.write_text(json.dumps(doc))
+        assert run("solve", inp, "--method", "exact", "--out", tmp_path / "res.json") == EXIT_PARSE
+        assert "rank deficient" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [("n", 4.0), ("m", True)], ids=["n-float", "m-bool"])
     def test_non_integer_order(self, tmp_path, key, value):
         doc = json.loads(synth(tmp_path, "set.json", "2,2", 1, 40, 0).read_text())

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import gjbd.matkernels
 from gjbd.matkernels import (
@@ -256,6 +257,32 @@ class TestLargestPrincipalAngle:
     def test_rejects_rank_deficient(self):
         with pytest.raises(ValueError):
             largest_principal_angle(np.zeros((4, 2)), np.eye(4)[:, :1])
+
+    @pytest.mark.parametrize("angle", [1e-9, np.pi / 4 - 1e-3, np.pi / 4 + 1e-3, np.pi / 2 - 1e-2],
+                             ids=["tiny", "below-quarter", "above-quarter", "near-right"])
+    @pytest.mark.parametrize("shape_e, shape_f", [((7, 3), (7, 2)), ((7, 2), (7, 3)),
+                                                  ((5, 1), (5, 1))],
+                             ids=["wide-narrow", "narrow-wide", "lines"])
+    def test_matches_scipy_reference(self, shape_e, shape_f, angle):
+        # the cosine rule switches to the sine at cos^2 = 0.5, so the angles
+        # straddle pi/4; the other principal angles are a third of the largest.
+        # The reference takes the sine whenever its largest cosine passes the
+        # switch, which loses about eps / (pi/2 - angle) near pi/2, so the
+        # near-right angle stays 1e-2 away
+        rng = np.random.default_rng(5)
+        n, (p, q) = shape_e[0], sorted((shape_e[1], shape_f[1]), reverse=True)
+        basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        thetas = np.full(q, angle / 3.0)
+        thetas[0] = angle
+        wide = basis[:, :p]
+        narrow = np.cos(thetas) * basis[:, :q] + np.sin(thetas) * basis[:, p:p + q]
+        e, f = (wide, narrow) if shape_e[1] >= shape_f[1] else (narrow, wide)
+        # column operations keep each span but defeat an already orthonormal input
+        e = e @ (rng.standard_normal((e.shape[1],) * 2) + 3.0 * np.eye(e.shape[1]))
+        f = f @ (rng.standard_normal((f.shape[1],) * 2) + 3.0 * np.eye(f.shape[1]))
+        want = scipy.linalg.subspace_angles(e, f)[0]
+        assert abs(want - angle) <= 1e-10
+        assert abs(largest_principal_angle(e, f) - want) <= 1e-12
 
 
 class TestSepLower:

@@ -23,6 +23,17 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((2, 0))
 
+    @pytest.mark.parametrize("size", [2.9, 2.0, True], ids=["float", "integral-float", "bool"])
+    def test_rejects_non_integer_sizes(self, size):
+        # int() would truncate 2.9 to 2 and read True as 1
+        with pytest.raises(ValueError):
+            Partition((size, 1))
+
+    def test_accepts_numpy_integers(self):
+        p = Partition((np.int64(2), 1))
+        assert p.sizes == (2, 1)
+        assert all(type(s) is int for s in p.sizes)
+
     @pytest.mark.parametrize("sizes", [(1,), (4,), (1, 1, 1), (1, 2, 3), (3, 1, 2, 2)])
     def test_mask_matches_slices(self, sizes):
         p = Partition(sizes)
