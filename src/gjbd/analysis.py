@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matkernels import _largest_angle, _orthonormal_basis, economic_qr, sep_lower
-from .nullspace import MatrixSet, _gram, exact_nullspace
+from .nullspace import MatrixSet, _gram, basis_excluding_identity, exact_nullspace
 
 _REL_SLACK = 1e-8
 
@@ -201,8 +201,10 @@ def equivalence_check(a, p, w):
     so the principal submatrix of their one Gram matrix on those entries is
     the pair's own; a pair is flagged when it is numerically singular, that
     is, when the pair's equations admit a nonzero solution.  Also samples
-    random elements of each block's exact null space and checks that their
-    eigenvalues form a single real value or a single conjugate pair.
+    random trace-free elements of each block's exact null space and checks
+    that their eigenvalues form a single real value or a single conjugate
+    pair; the identity, which shifts every eigenvalue alike, is left out,
+    so a block whose null space holds only the identity is not sampled.
 
     Parameters
     ----------
@@ -242,7 +244,7 @@ def equivalence_check(a, p, w):
     rng = np.random.default_rng(_SPECTRA_SEED)
     spectra_ok = True
     for sl in slices:
-        basis = exact_nullspace(MatrixSet(compressed[:, sl, sl])).basis
+        basis = basis_excluding_identity(exact_nullspace(MatrixSet(compressed[:, sl, sl])))
         if not basis:
             continue
         for _ in range(_SPECTRA_SAMPLES):
@@ -278,15 +280,13 @@ def verify_offblock_bound(a, z, delta, solution):
     for j in range(p.card):
         for k in range(j + 1, p.card):
             sep = min(sep, sep_lower(g_blocks[j], g_blocks[k]))
-    if p.card == 1:
-        sep = np.inf
     z_norm = float(np.linalg.norm(z))
     w_norm2 = float(np.linalg.norm(w, 2))
     components = {
         "delta": float(delta),
         "z_frobenius": z_norm,
         "w_spectral": w_norm2,
-        "sep": float(sep) if np.isfinite(sep) else np.inf,
+        "sep": sep,
         "sep_degenerate": bool(sep == 0.0),
     }
     if sep == 0.0 or not np.isfinite(sep):

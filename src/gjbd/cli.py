@@ -246,11 +246,7 @@ def _bench_trial(p, m, snr, base_seed, trial, methods, timing):
 
 def _fmt_float(x):
     if isinstance(x, float):
-        if np.isnan(x):
-            return "nan"
-        if np.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return repr(float(x))  # builtin repr: shortest lossless decimal
+        return repr(float(x))  # builtin repr: shortest lossless decimal, nan, inf
     return str(x)
 
 
@@ -370,7 +366,8 @@ def cmd_check(args):
     doc = {}
     all_ok = True
 
-    solution = method = cfg = None
+    solution = method = None
+    cfg = SolverConfig()
     if args.result is not None:
         solution, method, cfg = _load_result(args.result, a.n)
         recomputed = cost_ls(a, solution.partition, solution.w)
@@ -407,7 +404,8 @@ def cmd_check(args):
             if trace.z is not None:
                 all_ok &= _bound_reports(bounds_doc, "", a, bound_solution, trace)
         try:
-            split, split_trace = one_step_split_with_trace(a)
+            # consv split with the result's gamma; the default without --result
+            split, split_trace = one_step_split_with_trace(a, cfg.gamma)
         except UnsplittableError:
             bounds_doc["gap"] = None
         else:

@@ -75,7 +75,9 @@ class NullSpaceBasis:
         Matrices reshaped from the right singular directions with singular
         value below ``delta``, smallest singular value first.
     includes_identity_direction : bool
-        Whether the identity lies in the span of ``basis``.
+        Whether the identity lies in the span of ``basis``: its coordinates
+        in ``basis`` have norm at least ``1 - 1e-8``.  The package's only
+        identity rule; :func:`basis_excluding_identity` reads it.
     rank_cutoff : bool
         Whether ``delta`` is the numerical-rank cutoff, so that ``basis``
         spans the exact null space.
@@ -140,7 +142,7 @@ def _gram(a):
     ``G = I kron S - C - C.T`` with ``S = sum_i A_i.T A_i + A_i A_i.T`` and
     ``C[(c, p), (r, s)] = sum_i A_i[r, p] A_i[s, c]`` in the column order of
     ``K``: column ``(q, p)``, index ``q * n + p``, weighs ``Z[p, q]``, the
-    column-major ``vec(Z)`` in which :func:`_collect_basis` and
+    column-major ``vec(Z)`` in which :func:`_near_null_basis` and
     :func:`basis_excluding_identity` reshape.
 
     Two callers: :func:`_near_null_svd`, for the solvers' near-null spaces,
@@ -290,28 +292,35 @@ def _near_null_svd(a, threshold):
     return sigma, rot @ v.T
 
 
-def _collect_basis(a, sigma, vt, threshold):
+def _near_null_basis(a, gamma):
+    """The basis of :func:`delta_nullspace` for ``gamma``, or of
+    :func:`exact_nullspace` for ``gamma=None``."""
     n = a.n
-    # delta_nullspace's other threshold, gamma * second_smallest, is larger
-    rank_cutoff = threshold == exact_rank_tolerance(a, sigma[0])
+
+    def rule(sigma):
+        # (delta, rank_cutoff): the rank cutoff, unless gamma is given and
+        # the second smallest singular value exceeds it
+        tol_exact = exact_rank_tolerance(a, sigma[0])
+        if gamma is None or sigma.size < 2 or sigma[-2] <= tol_exact:
+            return tol_exact, True
+        return gamma * sigma[-2], False
+
+    sigma, vt = _near_null_svd(a, lambda s: rule(s)[0])
+    delta, rank_cutoff = rule(sigma)
     if sigma[0] == 0.0:
         # the operator vanishes; every direction is null
-        count = n * n
-        threshold = np.inf
+        count, delta = n * n, np.inf
     else:
-        count = int(np.sum(sigma < threshold))
+        count = int(np.sum(sigma < delta))
     # vt holds the rows of the window only, the last len(vt) values of sigma
     basis = [vt[-(j + 1)].reshape((n, n), order="F") for j in range(count)]
-    if count:
-        coords = np.array([np.trace(z) / np.sqrt(n) for z in basis])
-        includes_identity = bool(np.linalg.norm(coords) >= 1.0 - 1e-8)
-    else:
-        includes_identity = False
+    # the identity's coordinates in the basis; an empty basis has norm 0
+    coords = np.array([np.trace(z) / np.sqrt(n) for z in basis])
     return NullSpaceBasis(
-        delta=float(threshold),
+        delta=float(delta),
         sigma=sigma,
         basis=basis,
-        includes_identity_direction=includes_identity,
+        includes_identity_direction=bool(np.linalg.norm(coords) >= 1.0 - 1e-8),
         rank_cutoff=rank_cutoff,
     )
 
@@ -338,29 +347,22 @@ def delta_nullspace(a, gamma):
     """
     if not 1.0 < gamma < np.inf:
         raise ValueError("gamma must be finite and > 1")
-    n2 = a.n * a.n
-
-    def threshold(sigma):
-        tol_exact = exact_rank_tolerance(a, sigma[0])
-        second_smallest = sigma[n2 - 2] if n2 >= 2 else 0.0
-        return tol_exact if second_smallest <= tol_exact else gamma * second_smallest
-
-    sigma, vt = _near_null_svd(a, threshold)
-    return _collect_basis(a, sigma, vt, threshold(sigma))
+    return _near_null_basis(a, gamma)
 
 
 def exact_nullspace(a):
     """Exact null space of the coupling equations, up to numerical rank."""
-    def threshold(sigma):
-        return exact_rank_tolerance(a, sigma[0])
-
-    sigma, vt = _near_null_svd(a, threshold)
-    return _collect_basis(a, sigma, vt, threshold(sigma))
+    return _near_null_basis(a, None)
 
 
 def basis_excluding_identity(b):
     """Orthonormal trace-zero matrices spanning the near-null space modulo
     the identity direction.
+
+    The basis is projected off the identity and orthonormalized by an SVD.
+    Exactly when ``b.includes_identity_direction`` is set, the direction of
+    the smallest singular value, the residue of the identity the computed
+    span misses, is dropped.
 
     Parameters
     ----------
@@ -369,7 +371,8 @@ def basis_excluding_identity(b):
     Returns
     -------
     list of ndarray
-        May be empty when the space is exactly the span of the identity.
+        ``b.dim - b.includes_identity_direction`` matrices; empty when the
+        space is the span of the identity.
     """
     if not b.basis:
         return []
@@ -377,11 +380,8 @@ def basis_excluding_identity(b):
     cols = np.column_stack([z.flatten(order="F") for z in b.basis])
     ident = np.eye(n).flatten(order="F") / np.sqrt(n)
     cols = cols - np.outer(ident, ident @ cols)
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    # columns are unit vectors, so a singular value is the sine of an angle
-    # to the identity span; directions below this are rounding residue and
-    # must not be renormalized into basis elements
-    rank = int(np.sum(s > 1e-8))
+    u, _, _ = np.linalg.svd(cols, full_matrices=False)
+    rank = b.dim - b.includes_identity_direction
     return [u[:, j].reshape((n, n), order="F") for j in range(rank)]
 
 

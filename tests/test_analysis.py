@@ -382,6 +382,14 @@ class TestEquivalenceCheck:
         assert not ok
         assert pairs == [(0, 1), (0, 2), (1, 2)]
 
+    def test_merged_blocks_fail_spectra(self):
+        # one block holding both true blocks has no pair to flag, but its
+        # null space holds the projector onto either, whose spectrum is two
+        # distinct real values
+        inst = generate_model(Partition((2, 2)), 6, np.inf, 3)
+        result = equivalence_check(inst.a, Partition((4,)), np.linalg.inv(inst.v))
+        assert result == (False, [], False)
+
     @pytest.mark.parametrize("sizes", [(2, 2), (1, 2, 3), (3, 3)])
     def test_generic_sets_equivalent(self, sizes):
         for seed in range(5):

@@ -10,11 +10,14 @@ from gjbd.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_TRIVIAL,
+    _fmt_float,
+    load_matrix_set_file,
     main,
     matrix_set_document,
 )
 from gjbd.datagen import nonunique_example
 from gjbd.matkernels import InseparableClustersError
+from gjbd.nullspace import delta_nullspace
 from gjbd.partition import Partition
 
 
@@ -191,6 +194,11 @@ class TestBench:
                 assert float(cost) <= eps ** 2
             assert float(runtime_ms) == 0.0
 
+    @pytest.mark.parametrize("value, text", [(float("nan"), "nan"), (np.inf, "inf"),
+                                             (-np.inf, "-inf"), (np.float64(0.1), "0.1")])
+    def test_float_cells(self, value, text):
+        assert _fmt_float(value) == text
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ("bench", "--case", "2", "--snrs", "30", "--trials", 2,
@@ -257,6 +265,18 @@ class TestCheck:
         assert rep["bounds"]["split_offblock"]["satisfied"] is True
         assert all(r["satisfied"] for r in rep["bounds"]["split_imag"])
         assert rep["all_checks_passed"] is True
+
+    def test_split_bounds_use_result_gamma(self, tmp_path):
+        # consv splits with the stored gamma, so the split bounds must too
+        inp = synth(tmp_path, "set.json", "3,3,3", 20, 40, 8)
+        res = tmp_path / "res.json"
+        run("solve", inp, "--method", "consv", "--gamma", 3, "--epsilon", 0.9, "--out", res)
+        out = tmp_path / "check.json"
+        run("check", inp, "--result", res, "--bounds", "--out", out)
+        rep = json.loads(out.read_text())
+        a = load_matrix_set_file(inp)[0]
+        delta = rep["bounds"]["split_offblock"]["components"]["delta"]
+        assert delta == delta_nullspace(a, 3.0).delta
 
     def test_rescoring_reproduces_cost(self, tmp_path):
         inp = synth(tmp_path, "set.json", "1,2,3,4", 20, 60, 9)

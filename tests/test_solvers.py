@@ -187,6 +187,18 @@ class TestConservativeSolve:
             assert solution.cost <= eps ** 2
             check_solution_invariants(inst.a, solution)
 
+    @pytest.mark.parametrize("sizes", [(3, 3, 3), (1, 2, 3, 4)], ids=["case1", "case2"])
+    def test_true_blocks_at_high_snr(self, sizes):
+        # at 200 dB the computed null space misses the identity by up to
+        # 1e-6; splitting along that miss made consv reject its first
+        # proposal and return one block
+        p = Partition(sizes)
+        eps = 3 * p.n ** 2 * 10 ** (-200 / 20)
+        for seed in range(20):
+            inst = generate_model(p, m=20, snr=200.0, seed=seed)
+            solution = conservative_solve(inst.a, SolverConfig(epsilon=eps))
+            assert partition_equivalent(solution.partition, p), (seed, solution.partition.sizes)
+
     def test_deterministic(self):
         inst = generate_model(Partition((2, 3)), m=8, snr=40, seed=7)
         cfg = SolverConfig(epsilon=1.0)
