@@ -398,14 +398,18 @@ def cmd_check(args):
 
     if args.bounds:
         bounds_doc = {}
+        basis = None
         if method in ("greedy", "exact"):
             # deterministic re-run recovers the combined direction
             bound_solution, trace = _solve_with(method, a, cfg)
+            basis = trace.basis
             if trace.z is not None:
                 all_ok &= _bound_reports(bounds_doc, "", a, bound_solution, trace)
         try:
-            # consv split with the result's gamma; the default without --result
-            split, split_trace = one_step_split_with_trace(a, cfg.gamma)
+            # consv split with the result's gamma, the default without
+            # --result; it reuses the re-solve's near-null space when gamma
+            # cuts that spectrum at the same delta
+            split, split_trace = one_step_split_with_trace(a, cfg.gamma, basis)
         except UnsplittableError:
             bounds_doc["gap"] = None
         else:

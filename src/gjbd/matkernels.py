@@ -282,11 +282,30 @@ def _largest_angle(ue, uf):
     return float(np.arcsin(min(np.linalg.norm(uf - ue @ cross, 2), 1.0)))
 
 
+def _sep_stacked(g_j, g_k):
+    """:func:`sep_lower` of each pair ``(g_j[b], g_k[b])`` of two stacks of
+    shapes ``(B, nj, nj)`` and ``(B, nk, nk)``, by one batched SVD.
+
+    The operators are ``kron(I, g_j.T) - kron(g_k.T, I)``, built by
+    broadcasting the same products ``np.kron`` forms, and LAPACK runs the
+    same routine on each, so every value equals that of the 2-D call.
+    """
+    count, nj, nk = g_j.shape[0], g_j.shape[1], g_k.shape[1]
+    # axes (b, row block, row, column block, column), as np.kron lays them out
+    left = np.eye(nk)[:, None, :, None] * g_j.transpose(0, 2, 1)[:, None, :, None, :]
+    right = g_k.transpose(0, 2, 1)[:, :, None, :, None] * np.eye(nj)[:, None, :]
+    ops = (left - right).reshape(count, nk * nj, nk * nj)
+    return np.linalg.svd(ops, compute_uv=False)[:, -1]
+
+
 def sep_lower(g_j, g_k):
     """Smallest singular value of the map ``X -> g_j.T @ X - X @ g_k``.
 
     Zero exactly when the spectra of ``g_j`` and ``g_k`` intersect; it
-    measures how well the two blocks can be decoupled.
+    measures how well the two blocks can be decoupled.  The matrix of the
+    map is ``kron(I, g_j.T) - kron(g_k.T, I)``;
+    :func:`gjbd.analysis.verify_offblock_bound` evaluates it for many pairs
+    of one shape at once through the same routine.
 
     Parameters
     ----------
@@ -299,9 +318,7 @@ def sep_lower(g_j, g_k):
     """
     g_j = np.atleast_2d(np.asarray(g_j, dtype=float))
     g_k = np.atleast_2d(np.asarray(g_k, dtype=float))
-    nj, nk = g_j.shape[0], g_k.shape[0]
-    kr = np.kron(np.eye(nk), g_j.T) - np.kron(g_k.T, np.eye(nj))
-    return float(np.linalg.svd(kr, compute_uv=False)[-1])
+    return float(_sep_stacked(g_j[None], g_k[None])[0])
 
 
 def symmetric_orthogonalize(w):

@@ -292,21 +292,28 @@ def _near_null_svd(a, threshold):
     return sigma, rot @ v.T
 
 
+def _delta_rule(a, gamma, sigma):
+    """``(delta, rank_cutoff)`` for the non-increasing singular values
+    ``sigma`` of the stacked operator of ``a``: the numerical-rank cutoff,
+    unless ``gamma`` is given and the second smallest value exceeds it, in
+    which case ``gamma * sigma[-2]``.
+
+    The package's only delta rule: :func:`_near_null_basis` cuts with it,
+    and :func:`gjbd.solvers.one_step_split_with_trace` reads it to decide
+    whether a basis already computed is the one ``gamma`` would give.
+    """
+    tol_exact = exact_rank_tolerance(a, sigma[0])
+    if gamma is None or sigma.size < 2 or sigma[-2] <= tol_exact:
+        return tol_exact, True
+    return gamma * sigma[-2], False
+
+
 def _near_null_basis(a, gamma):
     """The basis of :func:`delta_nullspace` for ``gamma``, or of
     :func:`exact_nullspace` for ``gamma=None``."""
     n = a.n
-
-    def rule(sigma):
-        # (delta, rank_cutoff): the rank cutoff, unless gamma is given and
-        # the second smallest singular value exceeds it
-        tol_exact = exact_rank_tolerance(a, sigma[0])
-        if gamma is None or sigma.size < 2 or sigma[-2] <= tol_exact:
-            return tol_exact, True
-        return gamma * sigma[-2], False
-
-    sigma, vt = _near_null_svd(a, lambda s: rule(s)[0])
-    delta, rank_cutoff = rule(sigma)
+    sigma, vt = _near_null_svd(a, lambda s: _delta_rule(a, gamma, s)[0])
+    delta, rank_cutoff = _delta_rule(a, gamma, sigma)
     if sigma[0] == 0.0:
         # the operator vanishes; every direction is null
         count, delta = n * n, np.inf

@@ -19,6 +19,8 @@ from .matkernels import (
 )
 from .nullspace import (
     MatrixSet,
+    NullSpaceBasis,
+    _delta_rule,
     basis_excluding_identity,
     delta_nullspace,
     exact_nullspace,
@@ -94,11 +96,26 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveTrace:
-    """Ingredients of a solve needed to verify the analytic bounds: the
-    combined near-null direction and the threshold that admitted it."""
+    """Ingredients of a solve needed to verify the analytic bounds.
+
+    Attributes
+    ----------
+    z : ndarray or None
+        The combined near-null direction; None for a trivial greedy or
+        exact answer whose basis holds nothing beyond the identity.
+    basis : NullSpaceBasis
+        The near-null space of the full set that ``z`` was drawn from;
+        :func:`one_step_split_with_trace` reuses it when its own ``gamma``
+        cuts the same spectrum at the same ``delta``.
+    """
 
     z: np.ndarray
-    delta: float
+    basis: NullSpaceBasis
+
+    @property
+    def delta(self):
+        """The threshold that admitted the basis."""
+        return self.basis.delta
 
 
 def _trivial_solution(a):
@@ -163,12 +180,12 @@ def eig_decomp_for_partition(z, p):
 def _combination_solve(a, basis_obj, cfg):
     # greedy's path: a random combination of the basis, clustered by gap
     if not basis_excluding_identity(basis_obj):  # always empty at order one
-        return _trivial_solution(a), SolveTrace(z=None, delta=basis_obj.delta)
+        return _trivial_solution(a), SolveTrace(z=None, basis=basis_obj)
     alpha = np.random.default_rng(cfg.seed).standard_normal(len(basis_obj.basis))
     z = sum(c * zj for c, zj in zip(alpha, basis_obj.basis))
     mu = cfg.resolve_mu(a.n, basis_obj.rank_cutoff)
     solution = _solution_from_direction(a, z, lambda schur: cluster_by_gap(schur, mu))
-    return solution, SolveTrace(z=z, delta=basis_obj.delta)
+    return solution, SolveTrace(z=z, basis=basis_obj)
 
 
 def greedy_solve_with_trace(a, cfg=None):
@@ -224,10 +241,23 @@ def exact_solve(a, seed=0):
     return exact_solve_with_trace(a, seed)[0]
 
 
-def one_step_split_with_trace(a, gamma=1.2):
+def one_step_split_with_trace(a, gamma=1.2, basis=None):
     """Like :func:`one_step_split` but also returns the trace-free split
-    direction and threshold for bound verification."""
-    basis_obj = delta_nullspace(a, gamma)
+    direction and threshold for bound verification.
+
+    ``basis``, a near-null space of ``a`` computed earlier (a re-solve's
+    ``SolveTrace.basis``), is used only when the delta rule for ``gamma``
+    applied to its singular values gives its own ``delta`` and
+    ``rank_cutoff``: always for a basis from :func:`delta_nullspace` with
+    the same ``gamma``, and for one from :func:`exact_nullspace` exactly
+    when ``gamma`` also cuts at numerical rank.  Any other basis, or one
+    whose operator vanishes (``delta`` infinite), is ignored and the space
+    is computed by :func:`delta_nullspace`.  So the answer never depends on
+    what the caller passes.
+    """
+    reusable = basis is not None and _delta_rule(a, gamma, basis.sigma) == (
+        basis.delta, basis.rank_cutoff)
+    basis_obj = basis if reusable else delta_nullspace(a, gamma)
     zs = basis_excluding_identity(basis_obj)
     if not zs:  # always empty at order one
         raise UnsplittableError("near-null space holds nothing beyond the identity")
@@ -236,7 +266,7 @@ def one_step_split_with_trace(a, gamma=1.2):
     if alpha[pivot] < 0.0:
         alpha = -alpha  # fix the eigenvector sign for determinism
     z = sum(c * zj for c, zj in zip(alpha, zs))
-    return _solution_from_direction(a, z, _largest_gap), SolveTrace(z=z, delta=basis_obj.delta)
+    return _solution_from_direction(a, z, _largest_gap), SolveTrace(z=z, basis=basis_obj)
 
 
 def one_step_split(a, gamma=1.2):

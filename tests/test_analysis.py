@@ -16,7 +16,7 @@ from gjbd.analysis import (
     verify_offblock_bound,
 )
 from gjbd.datagen import generate_model, nonunique_example
-from gjbd.matkernels import largest_principal_angle
+from gjbd.matkernels import largest_principal_angle, sep_lower
 from gjbd.nullspace import MatrixSet
 from gjbd.partition import Partition, block_permutation
 from gjbd.solvers import SolverConfig, Solution, exact_solve, greedy_solve_with_trace
@@ -109,6 +109,14 @@ class TestCostLS:
         a = MatrixSet(np.where(p.mask, mats, 0.0))
         assert cost_ls(a, p, np.eye(10)) == 0.0
 
+    @pytest.mark.parametrize("sizes, w_order", [((2,), 4), ((3, 3), 4), ((2, 2), 3)],
+                             ids=["short-partition", "long-partition", "small-w"])
+    def test_rejects_another_order(self, sizes, w_order):
+        # the mask of another order raised a bare IndexError
+        a = MatrixSet(np.random.default_rng(18).standard_normal((2, 4, 4)))
+        with pytest.raises(ValueError, match="order"):
+            cost_ls(a, Partition(sizes), np.eye(w_order))
+
 
 class TestNormalize:
     def test_restores_constraint(self):
@@ -137,6 +145,14 @@ class TestNormalize:
         out = normalize(w0, p)
         for sl in p.slices():
             assert largest_principal_angle(out[:, sl], w0[:, sl]) <= 1e-10
+
+    @pytest.mark.parametrize("sizes", [(2,), (3, 3)], ids=["short", "long"])
+    def test_rejects_another_order(self, sizes):
+        # a short partition left columns of uninitialized memory, a long one
+        # processed a partial block
+        w = np.random.default_rng(6).standard_normal((4, 4))
+        with pytest.raises(ValueError, match="order"):
+            normalize(w, Partition(sizes))
 
 
 class TestPerformanceIndex:
@@ -443,6 +459,28 @@ class TestVerifyOffblockBound:
         assert rep.satisfied
         assert rep.components["sep_degenerate"]
         assert np.isinf(rep.rhs)
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["distinct", "shared-eigenvalue"])
+    def test_separation_is_pairwise_minimum(self, shared):
+        # the pairs are batched by shape; the minimum must equal that of the
+        # pairwise separations exactly
+        rng = np.random.default_rng(19)
+        p = Partition((1, 2, 3, 2))
+        a = MatrixSet(rng.standard_normal((3, 8, 8)))
+        if shared:
+            # blocks 0 and 2 share the eigenvalue 2
+            z = np.diag([2.0, 3.0, 4.0, 2.0, 5.0, 6.0, 7.0, 8.0])
+            w = np.eye(8)
+        else:
+            z = rng.standard_normal((8, 8))
+            w = rng.standard_normal((8, 8))
+        rep = verify_offblock_bound(a, z, 0.1, Solution(partition=p, w=w, cost=0.0))
+        g = np.linalg.solve(w, z @ w)
+        blocks = [g[sl, sl] for sl in p.slices()]
+        ref = min(sep_lower(blocks[j], blocks[k]) for j in range(4) for k in range(j + 1, 4))
+        assert rep.components["sep"] == ref
+        assert rep.components["sep_degenerate"] is shared
+        assert (ref == 0.0) is shared
 
 
 class TestVerifyImagBound:

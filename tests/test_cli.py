@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import gjbd.nullspace
 import gjbd.solvers
 from gjbd.cli import (
     EXIT_CHECK_FAILED,
@@ -277,6 +278,37 @@ class TestCheck:
         a = load_matrix_set_file(inp)[0]
         delta = rep["bounds"]["split_offblock"]["components"]["delta"]
         assert delta == delta_nullspace(a, 3.0).delta
+
+    @pytest.mark.parametrize("partition, m, snr, method, calls", [
+        ("2,2,2,2,2,2,2,2", 4, "inf", "greedy", 1),
+        ("2,2,2,2,2,2,2,2", 4, "inf", "exact", 1),
+        ("2,2,2,2,2,2,2,2", 4, "inf", "consv", 1),
+        ("3,3,3", 20, 40, "greedy", 1),
+        ("3,3,3", 20, 40, "consv", 1),
+        # the rank cutoff of an exact re-solve is not the split's delta on
+        # a noisy set, so the split needs its own space
+        ("3,3,3", 20, 40, "exact", 2),
+    ], ids=["exact-greedy", "exact-exact", "exact-consv", "snr40-greedy", "snr40-consv",
+            "snr40-exact"])
+    def test_one_full_order_nullspace_per_check(self, tmp_path, monkeypatch, partition, m,
+                                                snr, method, calls):
+        # the split reuses the re-solve's near-null space whenever its delta
+        # rule cuts that spectrum at the same delta
+        inp = synth(tmp_path, "set.json", partition, m, snr, 0)
+        res = tmp_path / "res.json"
+        run("solve", inp, "--method", method, "--epsilon", 1e-3, "--out", res)
+        n = load_matrix_set_file(inp)[0].n
+        orders = []
+        svd = gjbd.nullspace._near_null_svd
+
+        def counting(a, threshold):
+            orders.append(a.n)
+            return svd(a, threshold)
+
+        monkeypatch.setattr(gjbd.nullspace, "_near_null_svd", counting)
+        out = tmp_path / "check.json"
+        assert run("check", inp, "--result", res, "--bounds", "--out", out) == EXIT_OK
+        assert orders.count(n) == calls
 
     def test_rescoring_reproduces_cost(self, tmp_path):
         inp = synth(tmp_path, "set.json", "1,2,3,4", 20, 60, 9)
