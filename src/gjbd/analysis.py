@@ -15,7 +15,9 @@ _REL_SLACK = 1e-8
 # block, drawn from a fixed seed so the test is deterministic
 _SPECTRA_SAMPLES = 20
 _SPECTRA_SEED = 0
-# relative distance under which two sampled eigenvalues count as one
+# a sample f has one real eigenvalue or one conjugate pair when the real
+# parts, and the absolute imaginary parts, each spread by at most this
+# times ||f||_F
 _SPECTRA_TOL_REL = 1e-6
 # relative trace under which gap_lower_bound takes z as trace-free
 _TRACE_TOL = 1e-8
@@ -199,25 +201,12 @@ def _pairs_by(p, key):
     return groups.values()
 
 
-def _spectra_single_cluster(f):
-    # all eigenvalues equal to one real number, or to one conjugate pair
+def _single_value_or_pair(f):
+    # one real eigenvalue or one conjugate pair, in whatever order LAPACK
+    # returns them
     evals = np.linalg.eigvals(f)
-    scale = max(1.0, float(np.max(np.abs(evals))))
-    tol = _SPECTRA_TOL_REL * scale
-    centers = []
-    for lam in evals:
-        for c in centers:
-            if abs(lam - c) <= tol:
-                break
-        else:
-            centers.append(lam)
-    if len(centers) == 1:
-        return abs(centers[0].imag) <= tol
-    if len(centers) == 2:
-        c0, c1 = centers
-        conjugate = abs(c0 - np.conj(c1)) <= tol and abs(c0.imag) > tol
-        return conjugate
-    return False
+    tol = _SPECTRA_TOL_REL * np.linalg.norm(f)
+    return np.ptp(evals.real) <= tol and np.ptp(np.abs(evals.imag)) <= tol
 
 
 def equivalence_check(a, p, w):
@@ -229,10 +218,13 @@ def equivalence_check(a, p, w):
     so the principal submatrix of their one Gram matrix on those entries is
     the pair's own; a pair is flagged when it is numerically singular, that
     is, when the pair's equations admit a nonzero solution.  Also samples
-    random trace-free elements of each block's exact null space and checks
-    that their eigenvalues form a single real value or a single conjugate
-    pair; the identity, which shifts every eigenvalue alike, is left out,
-    so a block whose null space holds only the identity is not sampled.
+    random trace-free elements ``f`` of each block's exact null space and
+    checks that their eigenvalues form a single real value or a single
+    conjugate pair: the real parts must spread by at most
+    ``_SPECTRA_TOL_REL * ||f||_F``, and so must the absolute imaginary
+    parts, whatever order the eigenvalues come in.  The identity, which
+    shifts every eigenvalue alike, is left out, so a block whose null space
+    holds only the identity is not sampled.
 
     Parameters
     ----------
@@ -272,22 +264,11 @@ def equivalence_check(a, p, w):
     singular_pairs.sort()
 
     rng = np.random.default_rng(_SPECTRA_SEED)
-    spectra_ok = True
-    for sl in slices:
-        basis = basis_excluding_identity(exact_nullspace(MatrixSet(compressed[:, sl, sl])))
-        if not basis:
-            continue
-        for _ in range(_SPECTRA_SAMPLES):
-            coeff = rng.standard_normal(len(basis))
-            f = sum(c * z for c, z in zip(coeff, basis))
-            norm = np.linalg.norm(f)
-            if norm == 0.0:
-                continue
-            if not _spectra_single_cluster(f / norm):
-                spectra_ok = False
-                break
-        if not spectra_ok:
-            break
+    bases = (basis_excluding_identity(exact_nullspace(MatrixSet(compressed[:, sl, sl])))
+             for sl in slices)
+    samples = (sum(c * z for c, z in zip(rng.standard_normal(len(basis)), basis))
+               for basis in bases if basis for _ in range(_SPECTRA_SAMPLES))
+    spectra_ok = all(map(_single_value_or_pair, samples))
     all_equivalent = (not singular_pairs) and spectra_ok
     return all_equivalent, singular_pairs, spectra_ok
 

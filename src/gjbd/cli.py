@@ -115,6 +115,8 @@ def _matrix_from_flat(flat, n, what):
         arr = np.asarray(flat, dtype=float)
     except (ValueError, TypeError) as exc:
         raise InputError(f"{what} holds non-numeric values") from exc
+    except OverflowError as exc:
+        raise InputError(f"{what} holds values past the float range") from exc
     if arr.shape != (n * n,):
         raise InputError(f"{what} must hold {n * n} numbers")
     if not np.all(np.isfinite(arr)):
@@ -245,9 +247,7 @@ def _bench_trial(p, m, snr, base_seed, trial, methods, timing):
 
 
 def _fmt_float(x):
-    if isinstance(x, float):
-        return repr(float(x))  # builtin repr: shortest lossless decimal, nan, inf
-    return str(x)
+    return repr(float(x))  # builtin repr: shortest lossless decimal, nan, inf
 
 
 def cmd_bench(args):

@@ -179,7 +179,9 @@ def eig_decomp_for_partition(z, p):
 
 def _combination_solve(a, basis_obj, cfg):
     # greedy's path: a random combination of the basis, clustered by gap
-    if not basis_excluding_identity(basis_obj):  # always empty at order one
+    # nothing beyond the identity (always at order one): the count that
+    # basis_excluding_identity returns, read without its SVD
+    if basis_obj.dim - basis_obj.includes_identity_direction == 0:
         return _trivial_solution(a), SolveTrace(z=None, basis=basis_obj)
     alpha = np.random.default_rng(cfg.seed).standard_normal(len(basis_obj.basis))
     z = sum(c * zj for c, zj in zip(alpha, basis_obj.basis))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,6 +22,8 @@ from gjbd.matkernels import largest_principal_angle, sep_lower
 from gjbd.nullspace import MatrixSet
 from gjbd.partition import Partition, block_permutation
 from gjbd.solvers import SolverConfig, Solution, exact_solve, greedy_solve_with_trace
+
+ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eigenvalues +-i
 
 
 def all_groupings(hat_sizes, room):
@@ -405,6 +409,26 @@ class TestEquivalenceCheck:
         inst = generate_model(Partition((2, 2)), 6, np.inf, 3)
         result = equivalence_check(inst.a, Partition((4,)), np.linalg.inv(inst.v))
         assert result == (False, [], False)
+
+    @pytest.mark.parametrize("spread, single", [(1.6e-6, True), (1.8e-6, False)])
+    def test_spectra_rule_ignores_eigenvalue_order(self, spread, single):
+        # diag(1, 1 + spread / 2, 1 + spread) against a tolerance of
+        # 1e-6 * ||f||_F, about 1.73e-6; clustering the eigenvalues one by
+        # one in LAPACK's order gave the permutations different verdicts
+        d = np.array([1.0, 1.0 + spread / 2, 1.0 + spread])
+        for perm in itertools.permutations(range(3)):
+            p = np.eye(3)[list(perm)]
+            assert gjbd.analysis._single_value_or_pair(p @ np.diag(d) @ p.T) == single, perm
+
+    @pytest.mark.parametrize("f, single", [
+        (scipy.linalg.block_diag(ROTATION, ROTATION), True),
+        (scipy.linalg.block_diag(ROTATION, 2.0 * ROTATION), False),
+        (scipy.linalg.block_diag(ROTATION, np.zeros((1, 1))), False),
+        (scipy.linalg.block_diag(ROTATION + np.eye(2), ROTATION), False),
+        (np.zeros((3, 3)), True),
+    ], ids=["one-pair", "two-pairs", "pair-and-real", "shifted-pair", "zero"])
+    def test_spectra_rule_conjugate_pairs(self, f, single):
+        assert gjbd.analysis._single_value_or_pair(f) == single
 
     @pytest.mark.parametrize("sizes", [(2, 2), (1, 2, 3), (3, 3)])
     def test_generic_sets_equivalent(self, sizes):

@@ -151,6 +151,23 @@ class TestSolve:
         inp.write_text(json.dumps({"n": 1, "m": 1, "matrices": [["x"]]}))
         assert run("solve", inp) == EXIT_PARSE
 
+    @pytest.mark.parametrize("field", ["matrices", "v_inv", "w"])
+    def test_integer_past_float_range(self, tmp_path, capsys, field):
+        # numpy raises OverflowError, not ValueError, converting such an int
+        inp = synth(tmp_path, "set.json", "2,2", 3, 40, 0)
+        res = tmp_path / "res.json"
+        run("solve", inp, "--out", res)
+        if field == "w":
+            path, argv = res, ("check", inp, "--result", res)
+        else:
+            path, argv = inp, ("solve", inp)
+        doc = json.loads(path.read_text())
+        (doc["matrices"][1] if field == "matrices" else doc[field])[0] = 10 ** 401
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(*argv) == EXIT_PARSE
+        assert "past the float range" in capsys.readouterr().err
+
     def test_invalid_gamma(self, tmp_path):
         inp = synth(tmp_path, "set.json", "2,2", 3, 40, 0)
         assert run("solve", inp, "--gamma", 0.5) == EXIT_PARSE
@@ -250,6 +267,27 @@ class TestCheck:
         rep = json.loads(out.read_text())
         assert rep["equivalence"]["all_equivalent"] is False
         assert rep["equivalence"]["singular_pairs"] == [[0, 1]]
+
+    def test_exact_result_passes_every_check(self, tmp_path):
+        # the benchmark's exact-diagnose run of check on every instance
+        inp = synth(tmp_path, "set.json", "2,2,2,2", 4, "inf", 0)
+        res = tmp_path / "res.json"
+        assert run("solve", inp, "--method", "exact", "--out", res) == EXIT_OK
+        out = tmp_path / "check.json"
+        code = run("check", inp, "--result", res, "--bounds", "--equivalence", "--out", out)
+        assert code == EXIT_OK
+        rep = json.loads(out.read_text())
+        assert rep["equivalence"]["all_equivalent"] is True
+        assert rep["all_checks_passed"] is True
+
+    def test_order_one_has_no_gap(self, tmp_path):
+        # a scalar set has no near-null direction beyond the identity to split
+        inp = tmp_path / "scalar.json"
+        inp.write_text(json.dumps({"n": 1, "m": 2, "matrices": [[2.0], [-1.5]]}))
+        out = tmp_path / "check.json"
+        assert run("check", inp, "--bounds", "--out", out) == EXIT_OK
+        assert json.loads(out.read_text()) == {"bounds": {"gap": None},
+                                               "all_checks_passed": True}
 
     def test_bounds_on_greedy_result(self, tmp_path):
         inp = synth(tmp_path, "set.json", "3,3,3", 20, 40, 8)
@@ -388,3 +426,34 @@ class TestCheck:
         inp = tmp_path / "bad.json"
         inp.write_text("not json")
         assert run("check", inp, "--bounds") == EXIT_PARSE
+
+
+@pytest.mark.parametrize("command, edit_set, edit_result, message", [
+    (("synth", "--partition", "2,2", "--snr", "loud"), None, None, "invalid SNR 'loud'"),
+    (("solve", "SET"), lambda d: d.update(p_true=[]), None, "nonempty list"),
+    (("solve", "SET"), lambda d: d.update(p_true=[2, 3]), None, "does not sum to n"),
+    (("solve", "SET"), lambda d: d["matrices"][0].__setitem__(0, float("nan")), None,
+     "matrix 0 holds non-finite values"),
+    (("solve", "SET"), lambda d: d.pop("matrices"), None, "missing n/m/matrices"),
+    (("solve", "SET"), lambda d: d["matrices"].pop(), None, "expected 3 matrices"),
+    (("bench", "--methods", "greedy,fast"), None, None, "unknown method 'fast'"),
+    (("check", "SET", "--result", "RES"), None, lambda r: r["parameters"].update(mu="small"),
+     "parameters.mu must be a number or null"),
+    (("check", "SET", "--result", "RES"), None, lambda r: r.pop("w"),
+     "malformed result document"),
+    (("check", "SET", "--equivalence"), lambda d: d.pop("v_inv"), None,
+     "--equivalence needs --result or v_inv/p_true"),
+], ids=["snr-word", "p-true-empty", "p-true-sum", "nan-entry", "no-matrices", "too-few-matrices",
+        "unknown-method", "mu-string", "result-without-w", "equivalence-without-truth"])
+def test_rejected_input(tmp_path, capsys, command, edit_set, edit_result, message):
+    # each is malformed input: exit 2 with the message on stderr
+    paths = {"SET": synth(tmp_path, "set.json", "2,2", 3, 40, 0), "RES": tmp_path / "res.json"}
+    assert run("solve", paths["SET"], "--out", paths["RES"]) == EXIT_OK
+    for key, edit in (("SET", edit_set), ("RES", edit_result)):
+        if edit is not None:
+            doc = json.loads(paths[key].read_text())
+            edit(doc)
+            paths[key].write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(*(paths.get(tok, tok) for tok in command)) == EXIT_PARSE
+    assert message in capsys.readouterr().err

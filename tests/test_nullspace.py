@@ -226,6 +226,34 @@ class TestNearNullSvd:
         assert len(passes) > 2 * len(snrs)
         assert all(calls == want for calls, want in passes), passes
 
+    def test_window_doubles_until_it_holds_the_cut(self, monkeypatch):
+        # a threshold of 0 on the Gram estimate sizes the window at two
+        # vectors; the final values put the cut at 0.1 * sigma_max, so the
+        # window must double until the first root outside it exceeds twice
+        # the cut, and every value up to there comes from the tail
+        windows = []
+        lowest_eigvecs = nullspace._lowest_eigvecs
+
+        def counting(reflectors, tau, diag, offdiag, k):
+            windows.append(k)
+            return lowest_eigvecs(reflectors, tau, diag, offdiag, k)
+
+        monkeypatch.setattr(nullspace, "_lowest_eigvecs", counting)
+        estimated = []
+
+        def threshold(sigma):
+            cut = 0.1 * sigma[0] if estimated else 0.0
+            estimated.append(cut)
+            return cut
+
+        a = generate_model(Partition((3, 3, 3)), 20, 40.0, 0).a
+        sigma, vt = nullspace._near_null_svd(a, threshold)
+        assert windows[:2] == [2, 4] and len(windows) > 2
+        dense = np.linalg.svd(build_stacked_operator(a), compute_uv=False)
+        low = dense <= 2.0 * 0.1 * dense[0]
+        assert vt.shape[0] >= np.sum(low)
+        assert np.all(np.abs(sigma[low] - dense[low]) <= 1e-13 * dense[0])
+
 
 class TestResidual:
     def test_identity_is_exact(self):
