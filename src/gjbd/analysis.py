@@ -306,7 +306,10 @@ def verify_offblock_bound(a, z, delta, solution):
     if sep == 0.0 or not np.isfinite(sep):
         rhs = np.inf
     else:
-        rhs = (delta ** 2) * (z_norm ** 2) * (w_norm2 ** 4) / (sep ** 2)
+        try:
+            rhs = (delta ** 2) * (z_norm ** 2) * (w_norm2 ** 4) / (sep ** 2)
+        except OverflowError:  # a float power past the float range
+            rhs = np.inf
     # evaluating the cost of an exact solution already leaves rounding dust
     # of this size, so the comparison needs an absolute floor
     floor = (1e2 * np.finfo(float).eps) ** 2 * a.total_sq_norm()

@@ -1,15 +1,14 @@
 """Command-line front end: solve matrix-set files, synthesize model
 instances, run benchmark sweeps, and run diagnostic checks.
 
-Exit codes: 0 success, 2 unreadable or malformed input, 3 the solver only
-found the trivial solution (still written), 4 a requested check failed,
-5 a numerical failure (for example inseparable eigenvalue clusters).
+Exit codes: 0 success, 2 unreadable or malformed input or an output path
+that cannot be written, 3 the solver only found the trivial solution (still
+written), 4 a requested check failed, 5 a numerical failure (for example
+inseparable eigenvalue clusters).
 """
 
 import argparse
 import json
-import logging
-import os
 import sys
 import time
 
@@ -23,7 +22,7 @@ from .analysis import (
     verify_imag_bound,
     verify_offblock_bound,
 )
-from .datagen import generate_model
+from .datagen import generate_model, noise_level
 from .matkernels import NumericalError
 from .nullspace import MatrixSet
 from .partition import Partition, partition_equivalent
@@ -37,8 +36,6 @@ from .solvers import (
     one_step_split_with_trace,
 )
 
-log = logging.getLogger("gjbd")
-
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_TRIVIAL = 3
@@ -49,7 +46,7 @@ _METHODS = ("greedy", "consv", "exact")
 
 
 class InputError(Exception):
-    """Unreadable, malformed or inconsistent input file."""
+    """Unreadable, malformed or inconsistent input, or an unwritable output path."""
 
 
 def _snr_epsilon(snr, n, scale_sq):
@@ -57,7 +54,7 @@ def _snr_epsilon(snr, n, scale_sq):
     # infinite SNR, where a tiny relative tolerance admits exact recovery
     if np.isinf(snr):
         return 1e-8 * np.sqrt(scale_sq)
-    return 3.0 * n * n * 10.0 ** (-snr / 20.0)
+    return 3.0 * n * n * noise_level(snr)
 
 
 def _parse_partition(text):
@@ -150,13 +147,20 @@ def load_matrix_set_file(path):
     return MatrixSet(mats), v_inv, p_true
 
 
-def _write_json(doc, out_path):
-    text = json.dumps(doc, indent=2)
+def _write_text(text, out_path):
+    # newline="" keeps the bytes the same on platforms that translate "\n"
     if out_path is None:
-        sys.stdout.write(text + "\n")
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out_path}: {exc}") from exc
+
+
+def _write_json(doc, out_path):
+    _write_text(json.dumps(doc, indent=2) + "\n", out_path)
 
 
 def matrix_set_document(a, v_inv=None, p_true=None):
@@ -282,12 +286,7 @@ def cmd_bench(args):
             _fmt_float(r["cost"]),
             _fmt_float(r["runtime_ms"]),
         ]))
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    _write_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -479,13 +478,11 @@ def build_parser():
 
 
 def main(argv=None):
-    logging.basicConfig(level=os.environ.get("GJBD_LOG", "WARNING"))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (InputError, ValueError, NumericalError) as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_PARSE
 

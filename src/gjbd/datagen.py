@@ -34,6 +34,21 @@ class ModelInstance:
         return np.linalg.inv(self.v)
 
 
+def noise_level(snr):
+    """The off-block standard deviation ``10**(-snr/20)`` of decibel
+    ``snr``; 0 at ``snr = inf``.
+
+    Raises
+    ------
+    ValueError
+        If the level is past the float range (``snr`` below about -6165).
+    """
+    try:
+        return 10.0 ** (-float(snr) / 20.0)  # a float power raises, a numpy one warns
+    except OverflowError:
+        raise ValueError(f"SNR {snr} gives a noise level past the float range") from None
+
+
 def generate_model(p, m, snr, seed):
     """Draw a matrix set ``A_i = V.T @ D_i @ V`` with near-block-diagonal
     ``D_i`` and a generic mixing matrix ``V``.
@@ -62,7 +77,7 @@ def generate_model(p, m, snr, seed):
         raise ValueError(f"SNR {snr} is neither finite nor +inf")
     rng = np.random.default_rng(seed)
     n = p.n
-    sigma = 0.0 if np.isinf(snr) else 10.0 ** (-snr / 20.0)
+    sigma = noise_level(snr)
     v = rng.standard_normal((n, n))
     while np.linalg.cond(v) > _MAX_MIXING_CONDITION:
         v = rng.standard_normal((n, n))

@@ -304,9 +304,7 @@ def _propose_split(block_cols, a, gamma):
     # accepted diagonalizer; None marks an unsplittable block
     if block_cols.shape[1] < 2:
         return None
-    compressed = MatrixSet(
-        np.array([block_cols.T @ mat @ block_cols for mat in a.mats])
-    )
+    compressed = MatrixSet(block_cols.T @ a.mats @ block_cols)
     try:
         return one_step_split(compressed, gamma)
     except (UnsplittableError, InseparableClustersError, DegenerateBlockBasisError):
@@ -333,7 +331,10 @@ def conservative_solve(a, cfg=None):
     """
     cfg = cfg if cfg is not None else SolverConfig()
     n = a.n
-    eps2 = cfg.epsilon ** 2
+    try:
+        eps2 = cfg.epsilon ** 2
+    except OverflowError:  # an epsilon past the square root of the float range
+        eps2 = np.inf
     sizes = [n]
     w = np.eye(n)
     cost = 0.0

@@ -466,6 +466,17 @@ class TestVerifyOffblockBound:
         assert rep.satisfied
         assert rep.lhs <= 1e-18 * inst.a.total_sq_norm()
 
+    def test_right_side_past_float_range(self):
+        # delta ** 2 overflows, as for an exact solve of a set scaled by
+        # 1e200; the right side is then infinite and the bound holds
+        inst = generate_model(Partition((2, 2)), m=5, snr=np.inf, seed=10)
+        w = np.linalg.inv(inst.v)
+        z = w @ np.diag([1.0, 1.0, 3.0, 3.0]) @ np.linalg.inv(w)
+        sol = Solution(partition=inst.p_true, w=normalize(w, inst.p_true), cost=0.0)
+        rep = verify_offblock_bound(inst.a, z, 1e200, sol)
+        assert rep.rhs == np.inf
+        assert rep.satisfied
+
     def test_greedy_runs_satisfy_bound(self):
         for seed in range(5):
             inst = generate_model(Partition((2, 3)), m=8, snr=40, seed=60 + seed)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gjbd.cli
 import gjbd.nullspace
 import gjbd.solvers
 from gjbd.cli import (
@@ -93,6 +98,19 @@ class TestSolve:
         res = json.loads(out.read_text())
         assert res["cost"] <= 1e-12
         assert sum(res["partition"]) == n
+
+    def test_epsilon_past_float_range_square_root(self, tmp_path):
+        # epsilon ** 2 overflows, so the tolerance is infinite as for inf
+        inp = synth(tmp_path, "set.json", "3,3,3", 20, 40, 0)
+        docs = []
+        for eps in ("1e200", "inf"):
+            out = tmp_path / f"res-{eps}.json"
+            assert run("solve", inp, "--method", "consv", "--epsilon", eps,
+                       "--out", out) == EXIT_OK
+            doc = json.loads(out.read_text())
+            del doc["parameters"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
 
     def test_trivial_solution_exit_code(self, tmp_path):
         inp = synth(tmp_path, "set.json", "2,2", 6, 20, 4)
@@ -430,6 +448,10 @@ class TestCheck:
 
 @pytest.mark.parametrize("command, edit_set, edit_result, message", [
     (("synth", "--partition", "2,2", "--snr", "loud"), None, None, "invalid SNR 'loud'"),
+    (("synth", "--partition", "2,2", "--snr", "-7000"), None, None,
+     "SNR -7000.0 gives a noise level past the float range"),
+    (("bench", "--snrs", "40,-7000", "--trials", "1"), None, None,
+     "SNR -7000.0 gives a noise level past the float range"),
     (("solve", "SET"), lambda d: d.update(p_true=[]), None, "nonempty list"),
     (("solve", "SET"), lambda d: d.update(p_true=[2, 3]), None, "does not sum to n"),
     (("solve", "SET"), lambda d: d["matrices"][0].__setitem__(0, float("nan")), None,
@@ -443,8 +465,9 @@ class TestCheck:
      "malformed result document"),
     (("check", "SET", "--equivalence"), lambda d: d.pop("v_inv"), None,
      "--equivalence needs --result or v_inv/p_true"),
-], ids=["snr-word", "p-true-empty", "p-true-sum", "nan-entry", "no-matrices", "too-few-matrices",
-        "unknown-method", "mu-string", "result-without-w", "equivalence-without-truth"])
+], ids=["snr-word", "synth-snr-overflow", "bench-snr-overflow", "p-true-empty", "p-true-sum",
+        "nan-entry", "no-matrices", "too-few-matrices", "unknown-method", "mu-string",
+        "result-without-w", "equivalence-without-truth"])
 def test_rejected_input(tmp_path, capsys, command, edit_set, edit_result, message):
     # each is malformed input: exit 2 with the message on stderr
     paths = {"SET": synth(tmp_path, "set.json", "2,2", 3, 40, 0), "RES": tmp_path / "res.json"}
@@ -457,3 +480,50 @@ def test_rejected_input(tmp_path, capsys, command, edit_set, edit_result, messag
     capsys.readouterr()
     assert run(*(paths.get(tok, tok) for tok in command)) == EXIT_PARSE
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "solve", "bench", "check"])
+def test_unwritable_output(tmp_path, capsys, command):
+    # an output path in a missing directory: exit 2 with one error line
+    inp = synth(tmp_path, "set.json", "2,2", 3, 40, 0)
+    argv = {
+        "synth": ("synth", "--partition", "2,2"),
+        "solve": ("solve", inp),
+        "bench": ("bench", "--snrs", "40", "--trials", 1, "--methods", "greedy"),
+        "check": ("check", inp, "--bounds"),
+    }[command]
+    out = tmp_path / "missing" / "out"
+    capsys.readouterr()
+    assert run(*argv, "--out", out) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+
+
+def run_process(cwd, *argv, **env):
+    # gjbd.cli as a script in a fresh interpreter, importing the package under
+    # test, with the given environment variables added
+    src = Path(gjbd.cli.__file__).parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "gjbd.cli", *map(str, argv)],
+        cwd=cwd, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src), **env},
+    )
+
+
+def test_failure_prints_one_line(tmp_path):
+    proc = run_process(tmp_path, "solve", "absent.json")
+    assert proc.returncode == EXIT_PARSE
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: cannot read absent.json: [Errno 2] No such file or directory: 'absent.json'"]
+
+
+def test_logging_environment_is_not_read(tmp_path):
+    # the CLI reads no environment variable, so a level the logging module
+    # rejects changes nothing
+    proc = run_process(tmp_path, "synth", "--partition", "2,2", "--out", "set.json",
+                       GJBD_LOG="debug")
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert json.loads((tmp_path / "set.json").read_text())["p_true"] == [2, 2]

@@ -1,0 +1,68 @@
+"""Invariance properties of the noisy solvers' block sizes, drawn with
+hypothesis: an orthogonal congruence, a scaling (by a power of two, exact
+in floating point, or by 1e3) with epsilon scaled alike, and a reordering
+of the matrices leave the multiset of block sizes unchanged."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gjbd.datagen import generate_model, noise_level
+from gjbd.nullspace import MatrixSet
+from gjbd.partition import Partition
+from gjbd.solvers import SolverConfig, conservative_solve, greedy_solve
+
+_M = 20
+# derandomized with no example database: every run draws the same examples
+_SETTINGS = settings(derandomize=True, database=None, max_examples=25, deadline=None)
+_CASES = st.sampled_from([(3, 3, 3), (1, 2, 3, 4)])
+_SEEDS = st.integers(0, 2**16)
+
+
+def _orthogonal(n, seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def _transformed(a, eps, k, order, seed):
+    """(name, set, epsilon) for each invariance of one drawn instance."""
+    q = _orthogonal(a.n, seed)
+    return [
+        ("orthogonal congruence", MatrixSet(q.T @ a.mats @ q), eps),
+        (f"scaling by 2^{k}", MatrixSet(2.0 ** k * a.mats), 2.0 ** k * eps),
+        ("scaling by 1e3", MatrixSet(1e3 * a.mats), 1e3 * eps),
+        ("permuting the matrices", MatrixSet(a.mats[list(order)]), eps),
+    ]
+
+
+def _check_invariant(solve, sizes, snr, seed, k, order):
+    a = generate_model(Partition(sizes), _M, snr, seed).a
+    eps = 3.0 * a.n ** 2 * noise_level(snr)  # the CLI's consv tolerance
+    base = sorted(solve(a, eps).partition.sizes)
+    for name, moved, moved_eps in _transformed(a, eps, k, order, seed):
+        assert sorted(solve(moved, moved_eps).partition.sizes) == base, name
+
+
+_INVARIANCE_ARGS = dict(k=st.integers(-30, 30), order=st.permutations(range(_M)))
+
+
+# greedy combines the near-null basis with seeded random weights, so its
+# answer depends on the signs of the basis directions, which rounding sets.
+# Where many combinations merge blocks, a flipped sign changes the block
+# sizes: at 20 dB on (3,3,3) seed 117 and (1,2,3,4) seed 102 of seeds 100-129,
+# so greedy is drawn above 20 dB.  There it is rare but not ruled out: on
+# (1,2,3,4) at 80 dB seed 8902 about half of all orders of the matrices flip
+# a sign that merges the blocks of sizes 2 and 4.
+@_SETTINGS
+@given(sizes=_CASES, snr=st.sampled_from([40.0, 60.0, 80.0]), seed=_SEEDS, **_INVARIANCE_ARGS)
+def test_greedy_block_sizes_invariant(sizes, snr, seed, k, order):
+    _check_invariant(lambda a, eps: greedy_solve(a, SolverConfig(seed=seed)),
+                     sizes, snr, seed, k, order)
+
+
+@_SETTINGS
+@given(sizes=_CASES, snr=st.sampled_from([20.0, 40.0, 60.0, 80.0]), seed=_SEEDS,
+       **_INVARIANCE_ARGS)
+def test_consv_block_sizes_invariant(sizes, snr, seed, k, order):
+    _check_invariant(lambda a, eps: conservative_solve(a, SolverConfig(epsilon=eps)),
+                     sizes, snr, seed, k, order)
