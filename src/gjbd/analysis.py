@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matkernels import _largest_angle, _orthonormal_basis, _sep_stacked, economic_qr
-from .nullspace import MatrixSet, _gram, basis_excluding_identity, exact_nullspace
+from .nullspace import MatrixSet, _gram, _unit_scaled, basis_excluding_identity, exact_nullspace
 
 _REL_SLACK = 1e-8
 
@@ -249,7 +249,9 @@ def equivalence_check(a, p, w):
     if p.n != a.n or w.shape != (a.n, a.n):
         raise ValueError("partition and w must match the order of the matrix set")
     compressed = w.T @ a.mats @ w
-    g = _gram(MatrixSet(bdiag(compressed, p)))
+    # scaled as the near-null spaces are, so that no scale of the set
+    # overflows or underflows the squares in the Gram matrix
+    g = _gram(_unit_scaled(MatrixSet(bdiag(compressed, p)))[0])
     column = np.arange(a.n ** 2).reshape((a.n, a.n), order="F")  # g's column weighing Z[r, s]
     slices = p.slices()
     singular_pairs = []

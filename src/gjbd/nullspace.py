@@ -4,16 +4,17 @@ The equations stack into one operator ``K`` (``m*n*n x n*n``, see
 :func:`build_stacked_operator`) whose small singular directions span the
 near-null space.  The solvers never form ``K``.  They assemble its Gram
 matrix ``G = K.T K`` from the structure of the ``A_i`` in ``O(m n**4)``
-and reduce it to tridiagonal form once.  All eigenvalues of ``G`` follow
-from the tridiagonal matrix; the square roots of the large ones are the
-head of the spectrum.  Only the lowest eigenvectors, a window chosen from
-those eigenvalues, are computed.  They are refined by one corrected
-semi-normal step (Bjorck, *Numerical Methods for Least Squares Problems*,
-1996), which applies ``K`` and ``K.T`` as ``A_i Z - Z.T A_i`` and
-``A_i.T Y - A_i Y.T`` and solves with a Cholesky factor of ``G`` shifted
-on the window.  A Rayleigh-Ritz SVD of ``K`` on the refined window (Golub
-& Van Loan, *Matrix Computations*) then gives the small singular values to
-the precision of a dense SVD.
+and reduce it to tridiagonal form once.  Bisection on the tridiagonal
+matrix gives only the few eigenvalues of ``G`` that are read: the
+largest, the lowest, which choose a window, and the first above the
+window.  Only the window's eigenvectors are computed, by inverse
+iteration.  They are refined by one corrected semi-normal step (Bjorck,
+*Numerical Methods for Least Squares Problems*, 1996), which applies
+``K`` and ``K.T`` as ``A_i Z - Z.T A_i`` and ``A_i.T Y - A_i Y.T`` and
+solves with a Cholesky factor of ``G`` shifted on the window.  A
+Rayleigh-Ritz SVD of ``K`` on the refined window (Golub & Van Loan,
+*Matrix Computations*) then gives the small singular values to the
+precision of a dense SVD.
 """
 
 from dataclasses import dataclass
@@ -64,13 +65,16 @@ class NullSpaceBasis:
     ----------
     delta : float
         Threshold under which singular directions were collected.
-    sigma : ndarray, shape (n*n,)
-        All singular values of the stacked operator, non-increasing.  The
-        head holds the square roots of the eigenvalues of ``G = K.T K``
-        above the refined window, taken from its tridiagonal form (``dsterf``)
-        and accurate relative to ``sigma[0]``; the tail, which covers every
-        value up to twice ``delta``, comes from the Rayleigh-Ritz SVD at the
-        precision of a dense SVD of ``K``.
+    sigma : ndarray, shape (k + 2,) at most
+        The ends of the singular values of the stacked operator,
+        non-increasing: ``sigma[0]`` is the largest, ``sigma_max``, then
+        comes the first value above the refined window of ``k`` directions,
+        both square roots of eigenvalues of ``G = K.T K`` by bisection on its
+        tridiagonal form and accurate relative to ``sigma_max``.  The last
+        ``k`` values, which cover every value up to twice ``delta``, come
+        from the Rayleigh-Ritz SVD at the precision of a dense SVD of ``K``.
+        When the window is the whole space, ``sigma`` holds all ``n*n``
+        values from the Rayleigh-Ritz SVD.  Index it from its ends only.
     basis : list of ndarray
         Matrices reshaped from the right singular directions with singular
         value below ``delta``, smallest singular value first.
@@ -136,6 +140,18 @@ def exact_rank_tolerance(a, sigma_max):
 _GRAM_RESOLUTION = 1e2
 
 
+def _unit_scaled(a):
+    """``(b, exponent)`` with ``a = 2**exponent * b`` and the largest entry
+    of ``b`` below 1 in magnitude.
+
+    ``K`` is linear in the ``A_i``: scaling them by a power of two, which is
+    exact, keeps the squares in :func:`_gram` from overflowing or
+    underflowing.  Both callers of :func:`_gram` scale with it.
+    """
+    exponent = np.frexp(np.abs(a.mats).max())[1]
+    return MatrixSet(np.ldexp(a.mats, -exponent)), exponent
+
+
 def _gram(a):
     """``K.T K`` for ``K = build_stacked_operator(a)``, in ``O(m n**4)``.
 
@@ -185,36 +201,58 @@ def _apply_kt(a, y):
     return (at_y - a_yt).reshape(n, -1, n).transpose(1, 2, 0).reshape(-1, n * n).T
 
 
-def _lowest_eigvecs(reflectors, tau, diag, offdiag, k):
-    """Eigenvectors of the ``k`` lowest eigenvalues of a symmetric matrix
-    of order ``N`` from its ``dsytrd`` reduction (lower).
+def _bisect(diag, offdiag, by_index, low, high):
+    """Eigenvalues of the symmetric tridiagonal matrix ``(diag, offdiag)``
+    by bisection (``dstebz``): those numbered ``low`` to ``high`` from the
+    lowest (1-based) when ``by_index``, else those in ``(low, high]``.
 
-    ``diag`` and ``offdiag`` hold the tridiagonal matrix.  ``Q = H(1) ...
-    H(N - 1)`` leaves row 0 alone, and on rows ``1:`` it is the ``Q`` of a
-    QR factorization: ``reflectors``, rows ``1:`` and columns ``:-1`` of
-    what ``dsytrd`` returns, in column order, and ``tau`` define it for
-    ``dormqr``.
+    Returns ``(w, iblock, isplit)``: the values grouped by split-off block
+    and ascending within each, as :func:`_gram_window` reads them.
     """
-    # dstemr overwrites its off-diagonal argument, padded to the full length
-    _, _, z, _ = lapack.dstemr(diag, np.append(offdiag, 0.0), 2, 0.0, 0.0, 1, k)
-    rows, _, _ = lapack.dormqr("L", "N", reflectors, tau, z[1:, :k], k)
-    # a copy, so that dstemr's N x N array is freed
-    return np.vstack((z[:1, :k], rows))
+    if by_index:
+        m, w, iblock, isplit, _ = lapack.dstebz(diag, offdiag, 2, 0.0, 0.0, low, high, 0.0, "B")
+    else:
+        m, w, iblock, isplit, _ = lapack.dstebz(diag, offdiag, 1, low, high, 0, 0, 0.0, "B")
+    return w[:m], iblock, isplit
+
+
+def _gram_window(reflectors, tau, diag, offdiag, window):
+    """Eigenvectors of a symmetric matrix of order ``N`` from its ``dsytrd``
+    reduction (lower), for the ``k`` eigenvalues of ``window``, the output
+    of :func:`_bisect` on its tridiagonal matrix.
+
+    ``diag`` and ``offdiag`` hold the tridiagonal matrix, whose eigenvectors
+    come from inverse iteration (``dstein``).  ``Q = H(1) ... H(N - 1)``
+    leaves row 0 alone, and on rows ``1:`` it is the ``Q`` of a QR
+    factorization: ``reflectors``, rows ``1:`` and columns ``:-1`` of what
+    ``dsytrd`` returns, in column order, and ``tau`` define it for
+    ``dormqr``.
+
+    Returns
+    -------
+    ndarray, shape (N, k)
+    """
+    w, iblock, isplit = window
+    z, _ = lapack.dstein(diag, offdiag, w, iblock, isplit)
+    rows, _, _ = lapack.dormqr("L", "N", reflectors, tau, z[1:], len(w))
+    return np.vstack((z[:1], rows))
 
 
 def _near_null_svd(a, threshold):
-    """Singular values of ``K`` and the right singular vectors of its
-    smallest ones, as the thin SVD of :func:`build_stacked_operator` gives
-    them, without forming ``K``.
+    """The largest and the smallest singular values of ``K`` and the right
+    singular vectors of the smallest ones, as the thin SVD of
+    :func:`build_stacked_operator` gives them, without forming ``K``.
 
-    ``G = K.T K`` is reduced to tridiagonal form once (``dsytrd``).  All
-    its eigenvalues come from ``dsterf``; their square roots, in descending
-    order, are the estimate of the spectrum.  The window is chosen from it
-    up front: the ``k`` lowest eigenvectors, at least two, enough to hold
-    every root at or below ``_GRAM_RESOLUTION * n * sqrt(eps) * sigma_max``
-    and every root at or below twice the caller's threshold of the
-    estimate.  Only these ``k`` vectors are computed, by ``dstemr`` on the
-    tridiagonal matrix and ``dormqr`` with the stored reflectors.
+    ``G = K.T K`` is reduced to tridiagonal form once (blocked ``dsytrd``).
+    Bisection (``dstebz``) on the tridiagonal matrix gives only the
+    eigenvalues read: the largest and the two lowest, which estimate the
+    caller's threshold, those of the window, and the first above the
+    window.  The window holds the ``k``
+    lowest eigenvectors, at least two, enough to hold every root at or
+    below ``_GRAM_RESOLUTION * n * sqrt(eps) * sigma_max`` and every root at
+    or below twice the estimated threshold.  Only these ``k`` vectors are
+    computed, by inverse iteration (``dstein``) on the tridiagonal matrix
+    and ``dormqr`` with the stored reflectors.
 
     One corrected semi-normal step removes the rounding that forming ``G``
     left in the window ``V``: ``V <- qr(V - inv(M) (I - V V.T) K.T (K V))``
@@ -223,56 +261,62 @@ def _near_null_svd(a, threshold):
     ``inv(M) (I - V V.T) = V_c inv(L_c) V_c.T``, so the eigenvectors outside
     the window are never formed.  The SVD of ``K V`` then gives the tail of
     the spectrum and its right vectors.  Should the first root outside the
-    window not exceed ``2 * threshold(sigma)`` of the final values, the
-    window doubles and the step is repeated, so every value a caller
-    compares with its threshold comes from the tail.
+    window, the square root of eigenvalue ``k + 1``, not exceed
+    ``2 * threshold(sigma)`` of the final values, the window doubles and the
+    step is repeated, so every value a caller compares with its threshold
+    comes from the tail.
 
     Parameters
     ----------
     a : MatrixSet
     threshold : callable
-        Maps non-increasing singular values to the threshold the caller
-        applies.
+        Maps non-increasing singular values, of which it reads only
+        ``sigma[0]`` and ``sigma[-2]``, to the threshold the caller applies.
 
     Returns
     -------
-    sigma : ndarray, shape (n*n,)
-        Non-increasing.
+    sigma : ndarray, shape (k + 2,) at most
+        Non-increasing: ``sigma_max`` and the first root outside the window,
+        from the Gram eigenvalues, then the ``k`` Rayleigh-Ritz values of
+        the window.  Without roots outside the window, ``k = n*n`` and
+        ``sigma`` is the tail alone; with one, ``sigma_max`` is that root.
     vt : ndarray, shape (k, n*n)
-        The right singular vectors of the window, ``k <= n*n``: row ``j``
-        belongs to ``sigma[n*n - k + j]``.  Every value below the
-        threshold lies in the window, so these are all the rows a caller
-        reads.
+        The right singular vectors of the window: row ``j`` belongs to
+        ``sigma[len(sigma) - k + j]``.  Every value below the threshold lies
+        in the window, so these are all the rows a caller reads.
     """
     n2 = a.n * a.n
     if n2 == 1:
         # a scalar commutes with its transpose: K vanishes (and dsytrd
         # rejects a 1 x 1 matrix)
         return np.zeros(1), np.ones((1, 1))
-    # K is linear in the A_i: scaling them by a power of two, which is exact,
-    # keeps the squares in G from overflowing or underflowing
-    exponent = np.frexp(np.abs(a.mats).max())[1]
-    a = MatrixSet(np.ldexp(a.mats, -exponent))
+    a, exponent = _unit_scaled(a)
     g = _gram(a)
-    refl, diag, offdiag, tau, _ = lapack.dsytrd(g, lower=1)
+    lwork, _ = lapack.dsytrd_lwork(n2, lower=1)
+    refl, diag, offdiag, tau, _ = lapack.dsytrd(g, lower=1, lwork=int(lwork))
     # the reflectors in the layout dormqr reads; dropping dsytrd's own array
     # keeps at most three n**2 x n**2 arrays alive
     reflectors = np.asfortranarray(refl[1:, :-1])
     del refl
-    lam, _ = lapack.dsterf(diag, offdiag)
-    root = np.sqrt(np.clip(lam, 0.0, None))
-    resolution = _GRAM_RESOLUTION * a.n * np.sqrt(np.finfo(float).eps) * root[-1]
-    estimate = threshold(np.ldexp(root[::-1], exponent))
-    k = max(2, int(np.sum(root <= resolution)),
-            int(np.sum(np.ldexp(root, exponent) <= 2.0 * estimate)))
-    k = min(k, n2)
+    lam_max = _bisect(diag, offdiag, True, n2, n2)[0][0]
+    lowest = _bisect(diag, offdiag, True, 1, 2)
+    # sigma_max and the two lowest roots, all that the threshold reads
+    ends = np.sqrt(np.maximum([lam_max, *sorted(lowest[0], reverse=True)], 0.0))
+    resolution = _GRAM_RESOLUTION * a.n * np.sqrt(np.finfo(float).eps) * ends[0]
+    estimate = threshold(np.ldexp(ends, exponent))
+    cut = max(resolution, np.ldexp(2.0 * estimate, -exponent))
+    # the lower end lies below every eigenvalue, even when G = 0
+    window = _bisect(diag, offdiag, False, -lam_max - 1.0, cut * cut)
+    if len(window[0]) < 2:
+        window = lowest
     while True:
-        v = _lowest_eigvecs(reflectors, tau, diag, offdiag, k)
+        k = len(window[0])
+        v = _gram_window(reflectors, tau, diag, offdiag, window)
         if k < n2:
             # the window holds every root at or below the resolution, so no
             # eigenvalue of M lies below resolution**2, about 1e4 * n**2 *
             # eps * lambda_max: the Cholesky factorization cannot break down
-            shifted = (lam[-1] * v) @ v.T
+            shifted = (lam_max * v) @ v.T
             shifted += g
             # symmetric, so the transpose is the same matrix in the column
             # order LAPACK factors in place
@@ -282,13 +326,16 @@ def _near_null_svd(a, threshold):
             step, _ = lapack.dpotrs(m_chol, step, lower=1)
             v, _ = np.linalg.qr(v - step)
         _, tail, rot = np.linalg.svd(_apply_k(a, v), full_matrices=False)
-        # a Ritz value may pass the lowest head root by rounding when the
-        # two are nearly equal; both lie above twice the threshold, so the
-        # values callers compare keep their rows
-        sigma = -np.sort(-np.ldexp(np.concatenate((root[k:], tail)), exponent))
-        if k == n2 or np.ldexp(root[k], exponent) > 2.0 * threshold(sigma):
+        # eigenvalue k + 1, the first outside the window
+        lam_next = lam_max if k + 1 >= n2 else _bisect(diag, offdiag, True, k + 1, k + 1)[0][0]
+        head = np.sqrt(np.maximum([lam_max, lam_next][:n2 - k], 0.0))
+        # a Ritz value may pass the first root outside the window by rounding
+        # when the two are nearly equal; both lie above twice the threshold,
+        # so the values callers compare keep their rows
+        sigma = -np.sort(-np.ldexp(np.concatenate((head, tail)), exponent))
+        if k == n2 or np.ldexp(head[-1], exponent) > 2.0 * threshold(sigma):
             break
-        k = min(2 * k, n2)
+        window = _bisect(diag, offdiag, True, 1, min(2 * k, n2))
     return sigma, rot @ v.T
 
 

@@ -453,6 +453,17 @@ class TestEquivalenceCheck:
             ok, pairs, spectra_ok = equivalence_check(inst.a, p, np.linalg.inv(inst.v))
             assert ok, (trial, p.sizes, pairs, spectra_ok)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    @pytest.mark.parametrize("sizes", [(2, 2, 2), (1, 2, 3)])
+    def test_extreme_scale_keeps_verdict(self, sizes, scale):
+        # the verdict ignores the scale of the set, but the squares in the
+        # pair Gram matrix would underflow or overflow at these scales
+        inst = generate_model(Partition(sizes), m=6, snr=np.inf, seed=0)
+        w = np.linalg.inv(inst.v)
+        want = equivalence_check(inst.a, inst.p_true, w)
+        assert want[0]
+        assert equivalence_check(MatrixSet(scale * inst.a.mats), inst.p_true, w) == want
+
 
 class TestVerifyOffblockBound:
     def test_exact_case_boundary(self):

@@ -21,9 +21,9 @@ from gjbd.cli import (
     main,
     matrix_set_document,
 )
-from gjbd.datagen import nonunique_example
+from gjbd.datagen import generate_model, nonunique_example
 from gjbd.matkernels import InseparableClustersError
-from gjbd.nullspace import delta_nullspace
+from gjbd.nullspace import MatrixSet, delta_nullspace
 from gjbd.partition import Partition
 
 
@@ -285,6 +285,21 @@ class TestCheck:
         rep = json.loads(out.read_text())
         assert rep["equivalence"]["all_equivalent"] is False
         assert rep["equivalence"]["singular_pairs"] == [[0, 1]]
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    @pytest.mark.parametrize("sizes", [(2, 2, 2), (1, 2, 3)])
+    def test_equivalence_at_extreme_scale(self, tmp_path, sizes, scale):
+        # a valid set at any scale is checked, not rejected as malformed
+        inst = generate_model(Partition(sizes), 6, np.inf, 0)
+        doc = matrix_set_document(MatrixSet(scale * inst.a.mats), v_inv=inst.v_inv(),
+                                  p_true=inst.p_true)
+        inp = tmp_path / "set.json"
+        inp.write_text(json.dumps(doc))
+        out = tmp_path / "check.json"
+        assert run("check", inp, "--equivalence", "--out", out) == EXIT_OK
+        rep = json.loads(out.read_text())
+        assert rep["equivalence"] == {"all_equivalent": True, "singular_pairs": [],
+                                      "per_block_spectra_ok": True}
 
     def test_exact_result_passes_every_check(self, tmp_path):
         # the benchmark's exact-diagnose run of check on every instance

@@ -11,8 +11,9 @@ from gjbd.nullspace import (
     MatrixSet,
     _apply_k,
     _apply_kt,
+    _bisect,
     _gram,
-    _lowest_eigvecs,
+    _gram_window,
     basis_excluding_identity,
     build_stacked_operator,
     delta_nullspace,
@@ -149,8 +150,10 @@ def fuzz_set(rng, kind):
 def test_matches_dense_svd(kind):
     # the dimensions equal the dense SVD's, and every singular value up to
     # 1.5 * delta agrees with it at dense-SVD precision, so none of them
-    # may come from the coarser square roots of the Gram eigenvalues; the
-    # collected basis spans the dense SVD's near-null space
+    # may come from the coarser square roots of the Gram eigenvalues; so
+    # does sigma_max.  b.sigma holds only the ends of the spectrum, so the
+    # low values are indexed from the end.  The collected basis spans the
+    # dense SVD's near-null space
     rng = np.random.default_rng(FUZZ_KINDS.index(kind))
     for _ in range(FUZZ_SETS):
         a = fuzz_set(rng, kind)
@@ -158,8 +161,11 @@ def test_matches_dense_svd(kind):
         got = (delta_nullspace(a, 1.2), exact_nullspace(a))
         for b, dim in zip(got, dense_dims(a, sigma, 1.2)):
             assert b.dim == dim
-            low = sigma <= 1.5 * b.delta
-            assert np.all(np.abs(b.sigma[low] - sigma[low]) <= 1e-13 * sigma[0])
+            assert abs(b.sigma[0] - sigma[0]) <= 1e-13 * sigma[0]
+            low = int(np.sum(sigma <= 1.5 * b.delta))
+            assert low <= len(b.sigma)
+            assert np.all(np.abs(b.sigma[len(b.sigma) - low:] - sigma[sigma.size - low:])
+                          <= 1e-13 * sigma[0])
             if dim:
                 cols = np.column_stack([vec(z) for z in b.basis])
                 angles = scipy.linalg.subspace_angles(cols, vt[vt.shape[0] - dim:].T)
@@ -169,11 +175,11 @@ def test_matches_dense_svd(kind):
 class TestNearNullSvd:
     @pytest.mark.parametrize("kind", FUZZ_KINDS)
     def test_window_spans_lowest_gram_eigenvectors(self, kind):
-        # the dstemr/dormqr window against a full eigh of the same G, for
-        # every k at which the eigengap bounds the eigenvector error.  MRRR
-        # keeps the vectors orthogonal to O(N eps) for G of order N, with a
-        # larger constant inside clusters (up to about 300 N eps on these
-        # sets); the corrected step orthonormalizes them again
+        # the bisection/dstein/dormqr window against a full eigh of the same
+        # G, for every k at which the eigengap bounds the eigenvector error.
+        # Inverse iteration reorthogonalizes within clusters and keeps the
+        # vectors orthogonal to O(N eps) for G of order N; the corrected
+        # step orthonormalizes them again
         rng = np.random.default_rng(40 + FUZZ_KINDS.index(kind))
         eps = np.finfo(float).eps
         checked = 0
@@ -186,7 +192,9 @@ class TestNearNullSvd:
                 gap = lam[k] - lam[k - 1]
                 if gap <= 1e-6 * lam[-1]:
                     continue
-                v = _lowest_eigvecs(reflectors, tau, diag, offdiag, k)
+                window = _bisect(diag, offdiag, True, 1, k)
+                v = _gram_window(reflectors, tau, diag, offdiag, window)
+                assert v.shape == (len(lam), k)
                 assert np.linalg.norm(v.T @ v - np.eye(k)) <= 1e3 * len(lam) * eps
                 angles = scipy.linalg.subspace_angles(v, vecs[:, :k])
                 assert angles.max() <= 1e3 * eps * lam[-1] / gap
@@ -226,19 +234,51 @@ class TestNearNullSvd:
         assert len(passes) > 2 * len(snrs)
         assert all(calls == want for calls, want in passes), passes
 
+    def test_blocked_reduction_and_window_columns(self, monkeypatch):
+        # LAPACK falls back to the unblocked reduction unless dsytrd gets
+        # the workspace dsytrd_lwork asks for, and the window routine
+        # returns its k vectors, not an N x N array as dstemr did
+        reductions = []
+        windows = []
+        dsytrd, gram_window = nullspace.lapack.dsytrd, nullspace._gram_window
+
+        def recording_dsytrd(g, **kwargs):
+            reductions.append((len(g), kwargs.get("lwork", len(g))))
+            return dsytrd(g, **kwargs)
+
+        def recording_window(reflectors, tau, diag, offdiag, window):
+            v = gram_window(reflectors, tau, diag, offdiag, window)
+            windows.append((len(diag), len(window[0]), v.shape))
+            return v
+
+        monkeypatch.setattr(nullspace.lapack, "dsytrd", recording_dsytrd)
+        monkeypatch.setattr(nullspace, "_gram_window", recording_window)
+        calls = 0
+        for sizes, snr in [((3, 3, 3), 40.0), ((5, 5, 5, 5), 40.0), ((2, 2, 2), np.inf)]:
+            a = generate_model(Partition(sizes), 20, snr, 0).a
+            delta_nullspace(a, 1.2)
+            exact_nullspace(a)
+            calls += 2
+        assert len(reductions) == calls
+        for order, lwork in reductions:
+            assert lwork >= scipy.linalg.lapack.dsytrd_lwork(order, lower=1)[0] > order
+        assert len(windows) >= calls
+        assert all(shape == (order, k) and k < order for order, k, shape in windows)
+
     def test_window_doubles_until_it_holds_the_cut(self, monkeypatch):
         # a threshold of 0 on the Gram estimate sizes the window at two
         # vectors; the final values put the cut at 0.1 * sigma_max, so the
         # window must double until the first root outside it exceeds twice
         # the cut, and every value up to there comes from the tail
         windows = []
-        lowest_eigvecs = nullspace._lowest_eigvecs
+        gram_window = nullspace._gram_window
 
-        def counting(reflectors, tau, diag, offdiag, k):
-            windows.append(k)
-            return lowest_eigvecs(reflectors, tau, diag, offdiag, k)
+        def counting(reflectors, tau, diag, offdiag, window):
+            v = gram_window(reflectors, tau, diag, offdiag, window)
+            windows.append(v.shape[1])
+            return v
 
-        monkeypatch.setattr(nullspace, "_lowest_eigvecs", counting)
+        monkeypatch.setattr(nullspace, "_gram_window", counting)
         estimated = []
 
         def threshold(sigma):
@@ -250,9 +290,10 @@ class TestNearNullSvd:
         sigma, vt = nullspace._near_null_svd(a, threshold)
         assert windows[:2] == [2, 4] and len(windows) > 2
         dense = np.linalg.svd(build_stacked_operator(a), compute_uv=False)
-        low = dense <= 2.0 * 0.1 * dense[0]
-        assert vt.shape[0] >= np.sum(low)
-        assert np.all(np.abs(sigma[low] - dense[low]) <= 1e-13 * dense[0])
+        low = int(np.sum(dense <= 2.0 * 0.1 * dense[0]))
+        assert vt.shape[0] >= low
+        assert np.all(np.abs(sigma[len(sigma) - low:] - dense[dense.size - low:])
+                      <= 1e-13 * dense[0])
 
 
 class TestResidual:
