@@ -80,8 +80,10 @@ class NullSpaceBasis:
         value below ``delta``, smallest singular value first.
     includes_identity_direction : bool
         Whether the identity lies in the span of ``basis``: its coordinates
-        in ``basis`` have norm at least ``1 - 1e-8``.  The package's only
-        identity rule; :func:`basis_excluding_identity` reads it.
+        in ``basis`` have norm at least ``1 - 1e-8``.  Read only by greedy
+        and exact mode, whose answer is trivial when the basis holds nothing
+        beyond the identity; :func:`basis_excluding_identity` does not read
+        it.
     rank_cutoff : bool
         Whether ``delta`` is the numerical-rank cutoff, so that ``basis``
         spans the exact null space.
@@ -158,8 +160,7 @@ def _gram(a):
     ``G = I kron S - C - C.T`` with ``S = sum_i A_i.T A_i + A_i A_i.T`` and
     ``C[(c, p), (r, s)] = sum_i A_i[r, p] A_i[s, c]`` in the column order of
     ``K``: column ``(q, p)``, index ``q * n + p``, weighs ``Z[p, q]``, the
-    column-major ``vec(Z)`` in which :func:`_near_null_basis` and
-    :func:`basis_excluding_identity` reshape.
+    column-major ``vec(Z)`` in which :func:`_near_null_basis` reshapes.
 
     Two callers: :func:`_near_null_svd`, for the solvers' near-null spaces,
     and :func:`gjbd.analysis.equivalence_check`, which reads each block
@@ -410,13 +411,17 @@ def exact_nullspace(a):
 
 
 def basis_excluding_identity(b):
-    """Orthonormal trace-zero matrices spanning the near-null space modulo
-    the identity direction.
+    """Orthonormal basis of the trace-free members of a near-null space.
 
-    The basis is projected off the identity and orthonormalized by an SVD.
-    Exactly when ``b.includes_identity_direction`` is set, the direction of
-    the smallest singular value, the residue of the identity the computed
-    span misses, is dropped.
+    The combinations ``sum_j c_j Z_j`` of ``b.basis`` with trace zero are
+    those whose coefficients ``c`` are orthogonal to the row of the basis'
+    traces: the last ``k - 1`` right singular vectors of that ``1 x k`` row.
+    Orthonormal coefficients of an orthonormal basis give orthonormal
+    matrices.  The result spans a subspace fixed by the span of
+    ``b.basis`` alone, whatever basis represents it, and the constraint
+    removes the identity's representative whether or not the computed span
+    holds the identity to rounding.  A basis whose traces all vanish is
+    trace-free already and is returned whole.
 
     Parameters
     ----------
@@ -425,18 +430,12 @@ def basis_excluding_identity(b):
     Returns
     -------
     list of ndarray
-        ``b.dim - b.includes_identity_direction`` matrices; empty when the
-        space is the span of the identity.
+        ``b.dim - 1`` matrices (``b.dim`` when every trace vanishes); empty
+        when the space is the span of the identity.
     """
-    if not b.basis:
-        return []
-    n = b.basis[0].shape[0]
-    cols = np.column_stack([z.flatten(order="F") for z in b.basis])
-    ident = np.eye(n).flatten(order="F") / np.sqrt(n)
-    cols = cols - np.outer(ident, ident @ cols)
-    u, _, _ = np.linalg.svd(cols, full_matrices=False)
-    rank = b.dim - b.includes_identity_direction
-    return [u[:, j].reshape((n, n), order="F") for j in range(rank)]
+    traces = np.array([np.trace(z) for z in b.basis])
+    coeffs = np.linalg.svd(traces[None, :])[2][1:] if np.any(traces) else np.eye(b.dim)
+    return list(np.tensordot(coeffs, np.array(b.basis), axes=1))
 
 
 def trace_gram(zs):

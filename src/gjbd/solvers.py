@@ -138,6 +138,16 @@ def _solution_from_direction(a, z, pick):
     return Solution(partition=partition, w=w, cost=cost_ls(a, partition, w))
 
 
+def _gap_clusters(schur, mu):
+    # greedy's clusters.  Reordering a near-defective spectrum perturbs its
+    # real parts, and when that leaves them descending by mu times their
+    # range or more, which cluster_by_gap rejects as unsorted, the range
+    # itself is reordering error: one cluster, as the rounding rule gives
+    re = schur.eig_real_parts
+    descent = np.any(np.diff(re) <= -mu * (re.max() - re.min()))
+    return Partition((schur.n,)) if descent else cluster_by_gap(schur, mu)
+
+
 def _largest_gap(schur):
     # two blocks at the largest real-part gap outside conjugate pairs
     gaps = np.diff(schur.eig_real_parts)
@@ -178,15 +188,15 @@ def eig_decomp_for_partition(z, p):
 
 
 def _combination_solve(a, basis_obj, cfg):
-    # greedy's path: a random combination of the basis, clustered by gap
-    # nothing beyond the identity (always at order one): the count that
-    # basis_excluding_identity returns, read without its SVD
+    # greedy's path: a random combination of the basis, clustered by gap;
+    # the identity flag alone decides when the basis holds nothing beyond
+    # the identity (always at order one)
     if basis_obj.dim - basis_obj.includes_identity_direction == 0:
         return _trivial_solution(a), SolveTrace(z=None, basis=basis_obj)
     alpha = np.random.default_rng(cfg.seed).standard_normal(len(basis_obj.basis))
     z = sum(c * zj for c, zj in zip(alpha, basis_obj.basis))
     mu = cfg.resolve_mu(a.n, basis_obj.rank_cutoff)
-    solution = _solution_from_direction(a, z, lambda schur: cluster_by_gap(schur, mu))
+    solution = _solution_from_direction(a, z, lambda schur: _gap_clusters(schur, mu))
     return solution, SolveTrace(z=z, basis=basis_obj)
 
 
@@ -264,19 +274,27 @@ def one_step_split_with_trace(a, gamma=1.2, basis=None):
     if not zs:  # always empty at order one
         raise UnsplittableError("near-null space holds nothing beyond the identity")
     alpha = np.linalg.eigh(trace_gram(zs))[1][:, -1]  # the top eigenvector
-    pivot = int(np.argmax(np.abs(alpha)))
-    if alpha[pivot] < 0.0:
-        alpha = -alpha  # fix the eigenvector sign for determinism
     z = sum(c * zj for c, zj in zip(alpha, zs))
+    if np.trace(z @ z @ z) < 0.0:
+        # z and -z split alike with the blocks in reverse order; a
+        # similarity invariant, not the basis, chooses between them
+        z = -z
     return _solution_from_direction(a, z, _largest_gap), SolveTrace(z=z, basis=basis_obj)
 
 
 def one_step_split(a, gamma=1.2):
     """Best two-block split of the set.
 
-    The split direction is the near-null combination maximizing the trace
-    of its square (top eigenvector of the trace Gram matrix), which is
-    trace-free and so guarantees a spectral gap; the split lands at the
+    The split direction is the trace-free near-null combination maximizing
+    the trace of its square (top eigenvector of the trace Gram matrix),
+    which guarantees a spectral gap.  Its sign, which orders the two
+    blocks, makes ``trace(z**3)`` nonnegative.  So the split depends only
+    on the near-null subspace, not on the basis computed for it, wherever
+    that top eigenvalue is simple.  It is not where the space holds two
+    independent trace-free symmetric matrices, which reach the largest
+    possible value, 1, alike; every space of dimension ``n(n-1)/2 + 3`` or
+    more does.  Where ``trace(z**3)`` is at rounding level the block order
+    may follow rounding; the block sizes do not.  The split lands at the
     largest real-part gap, earliest index on ties, never inside a
     conjugate-pair block.
 

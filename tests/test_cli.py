@@ -25,6 +25,7 @@ from gjbd.datagen import generate_model, nonunique_example
 from gjbd.matkernels import InseparableClustersError
 from gjbd.nullspace import MatrixSet, delta_nullspace
 from gjbd.partition import Partition
+from test_solvers import NEAR_DEFECTIVE_SKEW
 
 
 def run(*argv):
@@ -120,6 +121,15 @@ class TestSolve:
         res = json.loads(out.read_text())  # the trivial solution is still written
         assert res["partition"] == [4]
         assert res["no_split"] is True
+
+    def test_reordering_descent_is_trivial_not_malformed(self, tmp_path):
+        # greedy's clusters once raised ValueError on this valid set, which
+        # the CLI reported as malformed input
+        inp = tmp_path / "set.json"
+        inp.write_text(json.dumps(matrix_set_document(NEAR_DEFECTIVE_SKEW)))
+        out = tmp_path / "res.json"
+        assert run("solve", inp, "--method", "greedy", "--out", out) == EXIT_TRIVIAL
+        assert json.loads(out.read_text())["partition"] == [3]
 
     def test_truncated_file(self, tmp_path):
         inp = tmp_path / "broken.json"

@@ -430,18 +430,31 @@ class TestBasisExcludingIdentity:
         zs = basis_excluding_identity(b)
         assert len(zs) == 2  # trace-zero symmetric 2x2
 
-    def test_drops_identity_residue_when_flagged(self):
-        # the first element misses the identity by sin(theta) = 1e-6, well
-        # inside the flag's rule; that miss is rounding residue, not a
-        # trace-free direction of the space, and must not come back
+    @staticmethod
+    def _residue_basis(sin, flagged):
+        # an orthonormal basis [first, y] whose first element misses the
+        # identity by sin(theta); y is trace-free
         rng = np.random.default_rng(3)
         ident = np.eye(3) / np.sqrt(3)
         q, _ = np.linalg.qr(np.column_stack([vec(ident), rng.standard_normal((9, 2))]))
         x, y = (q[:, j].reshape((3, 3), order="F") for j in (1, 2))
-        sin = 1e-6
         first = np.sqrt(1.0 - sin ** 2) * ident + sin * x
         b = nullspace.NullSpaceBasis(delta=1.0, sigma=np.zeros(9), basis=[first, y],
-                                     includes_identity_direction=True, rank_cutoff=False)
+                                     includes_identity_direction=flagged, rank_cutoff=False)
+        return b, y
+
+    def test_drops_identity_residue_when_flagged(self):
+        # a miss of 1e-6, well inside the flag's rule, is rounding residue,
+        # not a trace-free direction of the space, and must not come back
+        b, y = self._residue_basis(1e-6, True)
+        zs = basis_excluding_identity(b)
+        assert len(zs) == 1
+        assert abs(abs(np.sum(zs[0] * y)) - 1.0) <= 1e-12
+
+    def test_drops_identity_residue_when_not_flagged(self):
+        # a miss of 1e-3 turns the flag off; the trace constraint does not
+        # read it and still leaves the one trace-free direction
+        b, y = self._residue_basis(1e-3, False)
         zs = basis_excluding_identity(b)
         assert len(zs) == 1
         assert abs(abs(np.sum(zs[0] * y)) - 1.0) <= 1e-12

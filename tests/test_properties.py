@@ -1,7 +1,8 @@
 """Invariance properties of the noisy solvers' block sizes, drawn with
 hypothesis: an orthogonal congruence, a scaling (by a power of two, exact
 in floating point, or by 1e3) with epsilon scaled alike, and a reordering
-of the matrices leave the multiset of block sizes unchanged."""
+of the matrices leave greedy's multiset of block sizes and consv's ordered
+block sizes unchanged."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -35,12 +36,13 @@ def _transformed(a, eps, k, order, seed):
     ]
 
 
-def _check_invariant(solve, sizes, snr, seed, k, order):
+def _check_invariant(solve, sizes, snr, seed, k, order, key):
+    # key maps the block sizes to what must not change: sorted or tuple
     a = generate_model(Partition(sizes), _M, snr, seed).a
     eps = 3.0 * a.n ** 2 * noise_level(snr)  # the CLI's consv tolerance
-    base = sorted(solve(a, eps).partition.sizes)
+    base = key(solve(a, eps).partition.sizes)
     for name, moved, moved_eps in _transformed(a, eps, k, order, seed):
-        assert sorted(solve(moved, moved_eps).partition.sizes) == base, name
+        assert key(solve(moved, moved_eps).partition.sizes) == base, name
 
 
 _INVARIANCE_ARGS = dict(k=st.integers(-30, 30), order=st.permutations(range(_M)))
@@ -57,12 +59,14 @@ _INVARIANCE_ARGS = dict(k=st.integers(-30, 30), order=st.permutations(range(_M))
 @given(sizes=_CASES, snr=st.sampled_from([40.0, 60.0, 80.0]), seed=_SEEDS, **_INVARIANCE_ARGS)
 def test_greedy_block_sizes_invariant(sizes, snr, seed, k, order):
     _check_invariant(lambda a, eps: greedy_solve(a, SolverConfig(seed=seed)),
-                     sizes, snr, seed, k, order)
+                     sizes, snr, seed, k, order, sorted)
 
 
 @_SETTINGS
 @given(sizes=_CASES, snr=st.sampled_from([20.0, 40.0, 60.0, 80.0]), seed=_SEEDS,
        **_INVARIANCE_ARGS)
 def test_consv_block_sizes_invariant(sizes, snr, seed, k, order):
+    # the split's sign comes from trace(z**3), a similarity invariant, so
+    # the order of consv's blocks is a function of the set too
     _check_invariant(lambda a, eps: conservative_solve(a, SolverConfig(epsilon=eps)),
-                     sizes, snr, seed, k, order)
+                     sizes, snr, seed, k, order, tuple)

@@ -207,6 +207,21 @@ class TestConservativeSolve:
             solution = conservative_solve(inst.a, SolverConfig(epsilon=eps))
             assert partition_equivalent(solution.partition, p), (seed, solution.partition.sizes)
 
+    @pytest.mark.parametrize("sizes, m, snr, seed", [
+        ((1, 1, 1), 1, 240.0, 14), ((1, 1, 1), 1, 260.0, 30), ((2, 2, 2), 3, 260.0, 10)],
+        ids=["111-240dB", "111-260dB", "222-260dB"])
+    def test_true_blocks_where_span_misses_identity(self, sizes, m, snr, seed):
+        # the identity's coordinates in the computed span have norm 1 - 2e-8
+        # to 1 - 3.5e-8, past the flag's 1e-8, so the flag is off; a split
+        # along the identity's residue cost 1.1-2.3 eps**2 and left one
+        # block.  The trace constraint removes that residue whatever the
+        # flag says
+        p = Partition(sizes)
+        eps = 3 * p.n ** 2 * 10 ** (-snr / 20)
+        inst = generate_model(p, m, snr, seed)
+        solution = conservative_solve(inst.a, SolverConfig(epsilon=eps))
+        assert partition_equivalent(solution.partition, p), solution.partition.sizes
+
     def test_deterministic(self):
         inst = generate_model(Partition((2, 3)), m=8, snr=40, seed=7)
         cfg = SolverConfig(epsilon=1.0)
@@ -314,6 +329,27 @@ def test_rounding_level_real_parts_give_one_block(method):
     else:
         solution = exact_solve(a, seed=215)
     assert solution.partition.sizes == (4,)
+    assert solution.no_split
+
+
+# a skew set (n = 3, m = 2) whose seed-0 combination has a near-defective
+# triple eigenvalue: its real parts spread by about 1e-8 * ||T||_F, above the
+# rounding rule, and reordering them left a descent of half that range
+NEAR_DEFECTIVE_SKEW = MatrixSet(np.array([
+    [[0.0, -0.8896581115296077, 0.7055843877825565],
+     [0.8896581115296077, 0.0, -3.535943040661796],
+     [-0.7055843877825565, 3.535943040661796, 0.0]],
+    [[0.0, 1.073968261103719, 0.00048739805565278793],
+     [-1.073968261103719, 0.0, -0.643852905298485],
+     [-0.00048739805565278793, 0.643852905298485, 0.0]],
+]))
+
+
+def test_reordering_descent_gives_one_block():
+    # a descent of mu times the range means the range is reordering error:
+    # one cluster, where cluster_by_gap rejected the order as unsorted
+    solution = greedy_solve(NEAR_DEFECTIVE_SKEW, SolverConfig(seed=0))
+    assert solution.partition.sizes == (3,)
     assert solution.no_split
 
 
