@@ -20,13 +20,7 @@ from .analysis import (
     verify_imag_bound,
     verify_offblock_bound,
 )
-from .datagen import (
-    ModelInstance,
-    augment_identity,
-    generate_model,
-    nonunique_example,
-    orthogonalize_solution,
-)
+from .datagen import ModelInstance, generate_model
 from .matkernels import (
     DegenerateBlockBasisError,
     InseparableClustersError,
@@ -36,24 +30,19 @@ from .matkernels import (
     block_diagonalize_similarity,
     economic_qr,
     largest_principal_angle,
-    perfect_shuffle,
     real_schur_ordered,
     sep_lower,
-    symmetric_orthogonalize,
 )
 from .nullspace import (
     MatrixSet,
     NullSpaceBasis,
     basis_excluding_identity,
-    build_stacked_operator,
     delta_nullspace,
     exact_nullspace,
-    residual,
     trace_gram,
 )
 from .partition import (
     Partition,
-    block_permutation,
     cluster_by_gap,
     partition_equivalent,
 )
@@ -62,7 +51,6 @@ from .solvers import (
     SolverConfig,
     UnsplittableError,
     conservative_solve,
-    eig_decomp_for_partition,
     exact_solve,
     exact_solve_with_trace,
     greedy_solve,
@@ -87,18 +75,14 @@ __all__ = [
     "Solution",
     "SolverConfig",
     "UnsplittableError",
-    "augment_identity",
     "basis_excluding_identity",
     "bdiag",
     "block_diagonalize_similarity",
-    "block_permutation",
-    "build_stacked_operator",
     "cluster_by_gap",
     "conservative_solve",
     "cost_ls",
     "delta_nullspace",
     "economic_qr",
-    "eig_decomp_for_partition",
     "equivalence_check",
     "exact_nullspace",
     "exact_solve",
@@ -108,19 +92,14 @@ __all__ = [
     "greedy_solve",
     "greedy_solve_with_trace",
     "largest_principal_angle",
-    "nonunique_example",
     "normalize",
     "offbdiag",
     "one_step_split",
     "one_step_split_with_trace",
-    "orthogonalize_solution",
     "partition_equivalent",
-    "perfect_shuffle",
     "performance_index",
     "real_schur_ordered",
-    "residual",
     "sep_lower",
-    "symmetric_orthogonalize",
     "trace_gram",
     "verify_imag_bound",
     "verify_offblock_bound",

@@ -1,13 +1,11 @@
 """Synthetic problem generation: the random congruence model with adjustable
-off-block noise, the classic non-unique 4x4 fixture, and identity
-augmentation for the orthogonal variant."""
+off-block noise."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import bdiag, offbdiag
-from .matkernels import symmetric_orthogonalize
 from .nullspace import MatrixSet
 from .partition import Partition
 
@@ -89,60 +87,3 @@ def generate_model(p, m, snr, seed):
     return ModelInstance(
         a=MatrixSet(mats), v=v, d=d, p_true=p, snr=float(snr), seed=seed
     )
-
-
-def nonunique_example(a_coeffs, b_coeffs):
-    """The 4x4 fixture whose exact solutions are not all equivalent.
-
-    Each matrix is ``diag(B_i, B_i)`` with ``B_i = [[0, a_i], [a_i, b_i]]``;
-    both the identity and the returned ``w4`` block diagonalize the set
-    under partition (2, 2), yet the two solutions are not related by a block
-    permutation and block-diagonal factor.
-
-    Parameters
-    ----------
-    a_coeffs, b_coeffs : sequence of float
-        Equal-length lists of nonzero coefficients.
-
-    Returns
-    -------
-    (MatrixSet, ndarray)
-    """
-    a_coeffs = np.asarray(a_coeffs, dtype=float)
-    b_coeffs = np.asarray(b_coeffs, dtype=float)
-    if a_coeffs.shape != b_coeffs.shape or a_coeffs.ndim != 1 or a_coeffs.size < 1:
-        raise ValueError("coefficient lists must be equal-length and nonempty")
-    if np.any(a_coeffs == 0.0) or np.any(b_coeffs == 0.0):
-        raise ValueError("all coefficients must be nonzero")
-    mats = []
-    for a_i, b_i in zip(a_coeffs, b_coeffs):
-        block = np.array([[0.0, a_i], [a_i, b_i]])
-        mat = np.zeros((4, 4))
-        mat[:2, :2] = block
-        mat[2:, 2:] = block
-        mats.append(mat)
-    w4 = np.array([
-        [1.0, 0.0, 0.0, -1.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 1.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
-    return MatrixSet(np.array(mats)), w4
-
-
-def augment_identity(a):
-    """Prepend the identity to the set.
-
-    Solving the augmented set and symmetrically orthogonalizing the
-    diagonalizer yields an orthogonal solution of the original set; see
-    :func:`orthogonalize_solution`.
-    """
-    n = a.n
-    mats = np.concatenate([np.eye(n)[None, :, :], a.mats], axis=0)
-    return MatrixSet(mats)
-
-
-def orthogonalize_solution(w):
-    """Map a diagonalizer of an identity-augmented set to an orthogonal
-    diagonalizer of the original set, ``w @ (w.T @ w)**(-1/2)``."""
-    return symmetric_orthogonalize(w)

@@ -1,4 +1,4 @@
-"""Dense matrix kernels: perfect shuffle, ordered real Schur form, Sylvester-based
+"""Dense matrix kernels: ordered real Schur form, Sylvester-based
 block diagonalization, economic QR, principal angles and separation estimates.
 
 The Schur form is reordered with LAPACK ``dtrexc`` (Bai-Demmel block swaps);
@@ -74,25 +74,6 @@ class SchurForm:
         positions ``i`` and ``i + 1`` do not share a 2x2 conjugate-pair
         block."""
         return np.diag(self.t, -1) == 0.0
-
-
-def perfect_shuffle(n):
-    """Permutation ``p`` of size n*n with ``vec(Z)[p] == vec(Z.T)`` for any
-    n-by-n matrix ``Z`` (column-major vec). The permutation is an involution.
-
-    Parameters
-    ----------
-    n : int
-        Matrix order, n >= 1.
-
-    Returns
-    -------
-    ndarray of int, shape (n*n,)
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    k = np.arange(n * n)
-    return (k % n) * n + k // n
 
 
 def _block_size(t, i):
@@ -319,9 +300,3 @@ def sep_lower(g_j, g_k):
     g_j = np.atleast_2d(np.asarray(g_j, dtype=float))
     g_k = np.atleast_2d(np.asarray(g_k, dtype=float))
     return float(_sep_stacked(g_j[None], g_k[None])[0])
-
-
-def symmetric_orthogonalize(w):
-    """Closest-orthogonal polar factor ``w @ (w.T @ w)**(-1/2)``."""
-    u, _, vt = np.linalg.svd(np.asarray(w, dtype=float))
-    return u @ vt

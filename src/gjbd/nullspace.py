@@ -1,10 +1,12 @@
 """Near-null spaces of the coupling equations ``A_i Z = Z.T A_i``.
 
-The equations stack into one operator ``K`` (``m*n*n x n*n``, see
-:func:`build_stacked_operator`) whose small singular directions span the
-near-null space.  The solvers never form ``K``.  They assemble its Gram
-matrix ``G = K.T K`` from the structure of the ``A_i`` in ``O(m n**4)``
-and reduce it to tridiagonal form once.  Bisection on the tridiagonal
+The equations stack into one operator ``K``: the ``m*n*n x n*n`` matrix
+of the linear map ``vec(Z) -> stack_i vec(A_i Z - Z.T A_i)`` (column-major
+vec), whose small singular directions span the near-null space.
+``tests/oracles.py`` forms ``K`` densely as the reference the tests compare
+against.  The solvers never form ``K``.  They assemble its Gram matrix
+``G = K.T K`` from the structure of the ``A_i`` in ``O(m n**4)`` and
+reduce it to tridiagonal form once.  Bisection on the tridiagonal
 matrix gives only the few eigenvalues of ``G`` that are read: the
 largest, the lowest, which choose a window, and the first above the
 window.  Only the window's eigenvectors are computed, by inverse
@@ -100,36 +102,6 @@ class NullSpaceBasis:
         return len(self.basis)
 
 
-def build_stacked_operator(a):
-    """Matrix of the linear map ``vec(Z) -> stack_i vec(A_i Z - Z.T A_i)``.
-
-    The dense reference for ``K``: no solver calls it, because
-    :func:`delta_nullspace` and :func:`exact_nullspace` work from its Gram
-    matrix and apply ``K`` without forming it.  At ``n = 32``, ``m = 20``
-    it holds 168 MB.
-
-    Parameters
-    ----------
-    a : MatrixSet
-
-    Returns
-    -------
-    ndarray, shape (m*n*n, n*n)
-    """
-    # row (i, c, r) holds vec(A_i Z - Z.T A_i)[r, c], column (q, p) the
-    # weight of Z[p, q]: A_i[r, p] where q == c, minus A_i[p, c] where q == r
-    n = a.n
-    eye = np.eye(n)
-    k = np.einsum("irp,qc->icrqp", a.mats, eye) - np.einsum("ipc,qr->icrqp", a.mats, eye)
-    return k.reshape(a.m * n * n, n * n)
-
-
-def residual(a, z):
-    """Coupling residual ``sum_i ||A_i z - z.T A_i||_F**2``."""
-    z = np.asarray(z, dtype=float)
-    return float(sum(np.sum((mat @ z - z.T @ mat) ** 2) for mat in a.mats))
-
-
 def exact_rank_tolerance(a, sigma_max):
     """Numerical-rank cutoff for the stacked operator of ``a``."""
     n2 = a.n * a.n
@@ -155,7 +127,8 @@ def _unit_scaled(a):
 
 
 def _gram(a):
-    """``K.T K`` for ``K = build_stacked_operator(a)``, in ``O(m n**4)``.
+    """``K.T K`` for the stacked coupling operator ``K`` of ``a``, the matrix
+    of ``vec(Z) -> stack_i vec(A_i Z - Z.T A_i)``, in ``O(m n**4)``.
 
     ``G = I kron S - C - C.T`` with ``S = sum_i A_i.T A_i + A_i A_i.T`` and
     ``C[(c, p), (r, s)] = sum_i A_i[r, p] A_i[s, c]`` in the column order of
@@ -241,8 +214,8 @@ def _gram_window(reflectors, tau, diag, offdiag, window):
 
 def _near_null_svd(a, threshold):
     """The largest and the smallest singular values of ``K`` and the right
-    singular vectors of the smallest ones, as the thin SVD of
-    :func:`build_stacked_operator` gives them, without forming ``K``.
+    singular vectors of the smallest ones, as the thin SVD of the dense
+    ``K`` (``tests/oracles.py``) gives them, without forming ``K``.
 
     ``G = K.T K`` is reduced to tridiagonal form once (blocked ``dsytrd``).
     Bisection (``dstebz``) on the tridiagonal matrix gives only the

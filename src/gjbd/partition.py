@@ -1,7 +1,6 @@
 """Block-structure arithmetic: partitions and their block masks, gap
-clustering of the eigenvalue real parts of an ordered Schur form, block
-permutations, and the test that a computed partition has the block sizes
-of a reference one."""
+clustering of the eigenvalue real parts of an ordered Schur form, and the
+test that a computed partition has the block sizes of a reference one."""
 
 import operator
 from dataclasses import dataclass
@@ -104,34 +103,3 @@ def partition_equivalent(p, q):
     """True when the two partitions agree up to block reordering: the
     meaning of a correct answer when ``q`` is the true partition."""
     return p.card == q.card and sorted(p.sizes) == sorted(q.sizes)
-
-
-def block_permutation(p, perm):
-    """Orthogonal matrix permuting the block columns of a matrix partitioned
-    by ``p``: block column ``k`` of ``w @ block_permutation(p, perm)`` is
-    block ``perm[k]`` of ``w``.
-
-    Parameters
-    ----------
-    p : Partition
-    perm : sequence of int
-        Permutation of ``range(p.card)``.
-
-    Returns
-    -------
-    ndarray, shape (n, n)
-    """
-    perm = list(perm)
-    if sorted(perm) != list(range(p.card)):
-        raise ValueError("perm must be a permutation of range(card)")
-    n = p.n
-    out = np.zeros((n, n))
-    src = p.slices()
-    col = 0
-    for k in range(p.card):
-        j = perm[k]
-        size = p.sizes[j]
-        out[src[j], col:col + size] = np.eye(size)
-        col += size
-    return out
-

@@ -158,35 +158,6 @@ def _largest_gap(schur):
     return Partition((best_i, schur.n - best_i))
 
 
-def eig_decomp_for_partition(z, p):
-    """Eigenvalue decomposition of ``z`` grouped by ``p``.
-
-    Computes the ordered real Schur form of ``z``, decouples the clusters of
-    consecutive diagonal positions given by ``p`` by Sylvester solves and
-    orthonormalizes each block of columns, so that ``inv(w) @ z @ w`` is
-    block diagonal and the block diagonal of ``w.T @ w`` is the identity.
-
-    Parameters
-    ----------
-    z : ndarray, shape (n, n)
-    p : Partition
-        Cluster sizes in ascending real-part order, with ``p.n == n``; no
-        cluster may end inside a 2x2 conjugate-pair block.
-
-    Returns
-    -------
-    w : ndarray, shape (n, n)
-    blocks : list of ndarray
-        The diagonal blocks of ``inv(w) @ z @ w``.
-    """
-    schur = real_schur_ordered(z)
-    if p.n != schur.n:
-        raise ValueError("partition order must match z")
-    w = _assemble_diagonalizer(schur, p)
-    d = np.linalg.solve(w, z @ w)
-    return w, [d[sl, sl] for sl in p.slices()]
-
-
 def _combination_solve(a, basis_obj, cfg):
     # greedy's path: a random combination of the basis, clustered by gap;
     # the identity flag alone decides when the basis holds nothing beyond

@@ -31,18 +31,18 @@ from gjbd.analysis import (
     verify_offblock_bound,
 )
 from gjbd.cli import main as cli_main
-from gjbd.datagen import generate_model, nonunique_example
-from gjbd.matkernels import InseparableClustersError, perfect_shuffle, real_schur_ordered
+from gjbd.datagen import generate_model
+from gjbd.matkernels import InseparableClustersError, real_schur_ordered
 from gjbd.nullspace import MatrixSet, exact_nullspace
 from gjbd.partition import Partition, partition_equivalent
 from gjbd.solvers import (
     SolverConfig,
     conservative_solve,
-    eig_decomp_for_partition,
     exact_solve,
     greedy_solve_with_trace,
     one_step_split_with_trace,
 )
+from oracles import eig_decomp_for_partition, nonunique_example, perfect_shuffle
 
 CASES = {
     1: Partition((3, 3, 3)),

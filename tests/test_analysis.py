@@ -17,11 +17,18 @@ from gjbd.analysis import (
     verify_imag_bound,
     verify_offblock_bound,
 )
-from gjbd.datagen import generate_model, nonunique_example
+from gjbd.datagen import generate_model
 from gjbd.matkernels import largest_principal_angle, sep_lower
 from gjbd.nullspace import MatrixSet
-from gjbd.partition import Partition, block_permutation
-from gjbd.solvers import SolverConfig, Solution, exact_solve, greedy_solve_with_trace
+from gjbd.partition import Partition
+from gjbd.solvers import (
+    SolverConfig,
+    Solution,
+    conservative_solve,
+    exact_solve,
+    greedy_solve_with_trace,
+)
+from oracles import block_permutation, nonunique_example
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eigenvalues +-i
 
@@ -256,6 +263,25 @@ class TestPerformanceIndex:
         v_inv = rng.standard_normal((16, 16))
         pi = performance_index(v_inv, v_inv, p_true, Partition((1,) * 16))
         assert pi is not None and pi <= 1e-8
+
+    def test_past_node_budget_is_upper_bound(self, monkeypatch):
+        # consv over-splits (3,3,3) at 20 dB into (1,1,1,2,1,1,1,1); a budget
+        # of card + 1 nodes stops the search after its first dive, whose
+        # grouping bounds the exact index from above, and a budget of one
+        # node reaches no complete grouping
+        n = 9
+        inst = generate_model(Partition((3, 3, 3)), m=20, snr=20, seed=2)
+        sol = conservative_solve(inst.a, SolverConfig(epsilon=3 * n * n * 10 ** (-20 / 20)))
+        assert sol.partition.sizes == (1, 1, 1, 2, 1, 1, 1, 1)
+        args = (inst.v_inv(), sol.w, inst.p_true, sol.partition)
+        exact = performance_index(*args)
+        assert exact is not None
+        monkeypatch.setattr(gjbd.analysis, "_PI_NODE_BUDGET", sol.partition.card + 1)
+        first_dive = performance_index(*args)
+        assert first_dive is None or first_dive >= exact
+        assert first_dive != exact  # the upper-bound branch ran
+        monkeypatch.setattr(gjbd.analysis, "_PI_NODE_BUDGET", 1)
+        assert performance_index(*args) is None
 
     @pytest.mark.parametrize("true_sizes, pieces, noise", [
         ((2,) * 8, [(2,)] * 8, 1e-3),

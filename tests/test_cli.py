@@ -21,10 +21,11 @@ from gjbd.cli import (
     main,
     matrix_set_document,
 )
-from gjbd.datagen import generate_model, nonunique_example
+from gjbd.datagen import generate_model
 from gjbd.matkernels import InseparableClustersError
 from gjbd.nullspace import MatrixSet, delta_nullspace
 from gjbd.partition import Partition
+from oracles import nonunique_example
 from test_solvers import NEAR_DEFECTIVE_SKEW
 
 
@@ -252,6 +253,21 @@ class TestBench:
         assert run(*args, "--out", a) == EXIT_OK
         assert run(*args, "--out", b) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    def test_timing_fills_only_runtime(self, tmp_path):
+        plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+        args = ("bench", "--case", "1", "--trials", 1, "--snrs", "40",
+                "--methods", "greedy,consv")
+        assert run(*args, "--out", plain) == EXIT_OK
+        assert run(*args, "--timing", "--out", timed) == EXIT_OK
+        plain_rows = [line.split(",") for line in plain.read_text().splitlines()]
+        timed_rows = [line.split(",") for line in timed.read_text().splitlines()]
+        assert plain_rows[0] == timed_rows[0]
+        assert len(timed_rows) == len(plain_rows) == 3
+        for want, got in zip(plain_rows[1:], timed_rows[1:]):
+            assert got[:-1] == want[:-1]
+            runtime_ms = float(got[-1])
+            assert np.isfinite(runtime_ms) and runtime_ms > 0.0
 
     def test_exact_sweep_recovers(self, tmp_path):
         out = tmp_path / "exact.csv"

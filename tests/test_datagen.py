@@ -2,15 +2,11 @@ import numpy as np
 import pytest
 
 from gjbd.analysis import cost_ls, offbdiag
-from gjbd.datagen import (
-    augment_identity,
-    generate_model,
-    nonunique_example,
-    orthogonalize_solution,
-)
+from gjbd.datagen import generate_model
 from gjbd.nullspace import MatrixSet
 from gjbd.partition import Partition
 from gjbd.solvers import exact_solve
+from oracles import augment_identity, nonunique_example, symmetric_orthogonalize
 
 
 class TestGenerateModel:
@@ -109,7 +105,7 @@ class TestAugmentIdentity:
         mats = np.array([q @ np.diag(rng.standard_normal(n)) @ q.T for _ in range(4)])
         a = MatrixSet(mats)
         solution = exact_solve(augment_identity(a), seed=6)
-        w_orth = orthogonalize_solution(solution.w)
+        w_orth = symmetric_orthogonalize(solution.w)
         assert np.linalg.norm(w_orth.T @ w_orth - np.eye(n)) <= 1e-10
         assert cost_ls(a, solution.partition, w_orth) <= 1e-18 * a.total_sq_norm()
         assert solution.partition.card == n

@@ -9,11 +9,10 @@ from gjbd.matkernels import (
     block_diagonalize_similarity,
     economic_qr,
     largest_principal_angle,
-    perfect_shuffle,
     real_schur_ordered,
     sep_lower,
-    symmetric_orthogonalize,
 )
+from oracles import perfect_shuffle, symmetric_orthogonalize
 
 
 def vec(z):

@@ -6,7 +6,6 @@ import scipy.linalg
 
 from gjbd import nullspace
 from gjbd.datagen import generate_model
-from gjbd.matkernels import perfect_shuffle
 from gjbd.nullspace import (
     MatrixSet,
     _apply_k,
@@ -15,15 +14,14 @@ from gjbd.nullspace import (
     _gram,
     _gram_window,
     basis_excluding_identity,
-    build_stacked_operator,
     delta_nullspace,
     exact_nullspace,
     exact_rank_tolerance,
-    residual,
     trace_gram,
 )
 from gjbd.partition import Partition
 from gjbd.solvers import SolverConfig, conservative_solve, greedy_solve
+from oracles import build_stacked_operator, perfect_shuffle, residual
 
 
 def vec(z):

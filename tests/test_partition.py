@@ -4,10 +4,10 @@ import pytest
 from gjbd.matkernels import SchurForm, real_schur_ordered
 from gjbd.partition import (
     Partition,
-    block_permutation,
     cluster_by_gap,
     partition_equivalent,
 )
+from oracles import block_permutation
 
 
 class TestPartition:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gjbd.analysis import bdiag, cost_ls, performance_index, verify_offblock_bound
-from gjbd.datagen import generate_model, nonunique_example
+from gjbd.datagen import generate_model
 from gjbd.matkernels import InseparableClustersError
 from gjbd.nullspace import MatrixSet, delta_nullspace, exact_nullspace
 from gjbd.partition import Partition, partition_equivalent
@@ -10,13 +10,13 @@ from gjbd.solvers import (
     SolverConfig,
     UnsplittableError,
     conservative_solve,
-    eig_decomp_for_partition,
     exact_solve,
     greedy_solve,
     greedy_solve_with_trace,
     one_step_split,
     one_step_split_with_trace,
 )
+from oracles import eig_decomp_for_partition, nonunique_example
 
 
 def check_solution_invariants(a, solution, tol=1e-12):
