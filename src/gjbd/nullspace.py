@@ -6,23 +6,25 @@ vec), whose small singular directions span the near-null space.
 ``tests/oracles.py`` forms ``K`` densely as the reference the tests compare
 against.  The solvers never form ``K``.  They assemble its Gram matrix
 ``G = K.T K`` from the structure of the ``A_i`` in ``O(m n**4)`` and
-reduce it to tridiagonal form once.  Bisection on the tridiagonal
-matrix gives only the few eigenvalues of ``G`` that are read: the
-largest, the lowest, which choose a window, and the first above the
-window.  Only the window's eigenvectors are computed, by inverse
-iteration.  They are refined by one corrected semi-normal step (Bjorck,
-*Numerical Methods for Least Squares Problems*, 1996), which applies
-``K`` and ``K.T`` as ``A_i Z - Z.T A_i`` and ``A_i.T Y - A_i Y.T`` and
-solves with a Cholesky factor of ``G`` shifted on the window.  A
-Rayleigh-Ritz SVD of ``K`` on the refined window (Golub & Van Loan,
-*Matrix Computations*) then gives the small singular values to the
-precision of a dense SVD.
+reduce it in place to tridiagonal form ``T = Q.T G Q`` once.  Bisection on
+``T`` gives only the few eigenvalues of ``G`` that are read: the largest,
+the lowest, which choose a window, and the first above the window.  Only
+the window's eigenvectors of ``T`` are computed, by inverse iteration.
+They are refined by one corrected semi-normal step (Bjorck, *Numerical
+Methods for Least Squares Problems*, 1996), which applies ``K`` and ``K.T``
+as ``A_i Z - Z.T A_i`` and ``A_i.T Y - A_i Y.T`` and solves in the
+tridiagonal basis, with ``T`` shifted by a small multiple of the identity
+and refined.  A Rayleigh-Ritz SVD of ``K`` on the refined window (Golub &
+Van Loan, *Matrix Computations*) then gives the small singular values to
+the precision of a dense SVD.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
+
+from .matkernels import NumericalError
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,18 @@ def exact_rank_tolerance(a, sigma_max):
 # per entry; singular values there are taken from the Rayleigh-Ritz step.
 _GRAM_RESOLUTION = 1e2
 
+# The corrected step of _near_null_svd applies the inverse of T off the
+# window as a sum of solves with T + shift * I, shift = _STEP_SHIFT *
+# resolution**2.  Every eigenvalue lam of T off the window exceeds
+# resolution**2, so each solve shrinks the error of the sum by
+# shift / (lam + shift) < 1e-2.  The step removes an error of at most
+# eps * lambda_max / lam from the window, and is itself accurate only to
+# eps * sqrt(lambda_max / lam); their ratio is at most
+# 1 / (1e2 * n * sqrt(eps)) < 1 / 1.4e-6, at lam = resolution**2, and three
+# solves shrink the error by less than 1e-6.
+_STEP_SHIFT = 1e-2
+_STEP_SOLVES = 3
+
 
 def _unit_scaled(a):
     """``(b, exponent)`` with ``a = 2**exponent * b`` and the largest entry
@@ -135,6 +149,10 @@ def _gram(a):
     ``K``: column ``(q, p)``, index ``q * n + p``, weighs ``Z[p, q]``, the
     column-major ``vec(Z)`` in which :func:`_near_null_basis` reshapes.
 
+    ``C`` and ``C.T`` are read as strided views of one product of the
+    ``A_i``, and their sum is written into the output, so at most two
+    ``n**2 x n**2`` arrays are alive.
+
     Two callers: :func:`_near_null_svd`, for the solvers' near-null spaces,
     and :func:`gjbd.analysis.equivalence_check`, which reads each block
     pair's certificate from a principal submatrix.
@@ -144,9 +162,12 @@ def _gram(a):
     cols = a.mats.transpose(1, 0, 2).reshape(n, a.m * n)  # cols[p, (i, r)] = A_i[p, r]
     s = rows.T @ rows + cols @ cols.T
     flat = a.mats.reshape(a.m, n * n)
-    # (flat.T @ flat)[(r, p), (s, c)] = sum_i A_i[r, p] A_i[s, c]
-    cross = (flat.T @ flat).reshape(n, n, n, n).transpose(3, 1, 0, 2).reshape(n * n, n * n)
-    g = -(cross + cross.T)
+    # pairs[r, p, s, c] = sum_i A_i[r, p] A_i[s, c]
+    pairs = (flat.T @ flat).reshape(n, n, n, n)
+    g = np.empty((n * n, n * n))
+    # C as [c, p, r, s] is pairs[r, p, s, c], and C.T is pairs[c, s, p, r]
+    np.add(pairs.transpose(3, 1, 0, 2), pairs.transpose(0, 2, 3, 1), out=g.reshape(n, n, n, n))
+    np.negative(g, out=g)
     diag = np.arange(n)
     g.reshape(n, n, n, n)[diag, :, diag, :] += s  # I kron S
     return g
@@ -175,6 +196,18 @@ def _apply_kt(a, y):
     return (at_y - a_yt).reshape(n, -1, n).transpose(1, 2, 0).reshape(-1, n * n).T
 
 
+def _lapack(name, *args, **kwargs):
+    """The outputs of the LAPACK routine ``name`` but its last, ``info``.
+
+    A nonzero ``info`` raises :class:`NumericalError`, so that a failed
+    routine never passes its output on to later steps.
+    """
+    *out, info = getattr(lapack, name)(*args, **kwargs)
+    if info != 0:
+        raise NumericalError(f"near-null space: LAPACK {name} failed with info {info}")
+    return out
+
+
 def _bisect(diag, offdiag, by_index, low, high):
     """Eigenvalues of the symmetric tridiagonal matrix ``(diag, offdiag)``
     by bisection (``dstebz``): those numbered ``low`` to ``high`` from the
@@ -184,32 +217,43 @@ def _bisect(diag, offdiag, by_index, low, high):
     and ascending within each, as :func:`_gram_window` reads them.
     """
     if by_index:
-        m, w, iblock, isplit, _ = lapack.dstebz(diag, offdiag, 2, 0.0, 0.0, low, high, 0.0, "B")
+        m, w, iblock, isplit = _lapack("dstebz", diag, offdiag, 2, 0.0, 0.0, low, high, 0.0, "B")
     else:
-        m, w, iblock, isplit, _ = lapack.dstebz(diag, offdiag, 1, low, high, 0, 0, 0.0, "B")
+        m, w, iblock, isplit = _lapack("dstebz", diag, offdiag, 1, low, high, 0, 0, 0.0, "B")
     return w[:m], iblock, isplit
 
 
 def _gram_window(reflectors, tau, diag, offdiag, window):
-    """Eigenvectors of a symmetric matrix of order ``N`` from its ``dsytrd``
-    reduction (lower), for the ``k`` eigenvalues of ``window``, the output
-    of :func:`_bisect` on its tridiagonal matrix.
+    """Eigenvectors of the symmetric tridiagonal matrix ``(diag, offdiag)``
+    of order ``N`` for the ``k`` eigenvalues of ``window``, the output of
+    :func:`_bisect` on it, by inverse iteration (``dstein``).
 
-    ``diag`` and ``offdiag`` hold the tridiagonal matrix, whose eigenvectors
-    come from inverse iteration (``dstein``).  ``Q = H(1) ... H(N - 1)``
-    leaves row 0 alone, and on rows ``1:`` it is the ``Q`` of a QR
-    factorization: ``reflectors``, rows ``1:`` and columns ``:-1`` of what
-    ``dsytrd`` returns, in column order, and ``tau`` define it for
-    ``dormqr``.
+    The vectors stay in the tridiagonal basis, where the corrected step of
+    :func:`_near_null_svd` solves; ``reflectors`` and ``tau``, the rest of
+    the ``dsytrd`` reduction, are not read here, and :func:`_apply_q` takes
+    the vectors to the basis of the reduced matrix.
 
     Returns
     -------
     ndarray, shape (N, k)
     """
     w, iblock, isplit = window
-    z, _ = lapack.dstein(diag, offdiag, w, iblock, isplit)
-    rows, _, _ = lapack.dormqr("L", "N", reflectors, tau, z[1:], len(w))
-    return np.vstack((z[:1], rows))
+    (z,) = _lapack("dstein", diag, offdiag, w, iblock, isplit)
+    return z
+
+
+def _apply_q(reflectors, tau, x, trans="N"):
+    """``Q @ x``, or ``Q.T @ x`` for ``trans="T"``, for the ``Q`` of a
+    ``dsytrd`` reduction (lower) of order ``N`` and ``x`` of shape
+    ``(N, k)``.
+
+    ``Q = H(1) ... H(N - 1)`` leaves row 0 alone, and on rows ``1:`` it is
+    the ``Q`` of a QR factorization: ``reflectors``, rows ``1:`` and
+    columns ``:-1`` of what ``dsytrd`` returns, in column order, and
+    ``tau`` define it for ``dormqr``.
+    """
+    rows, _ = _lapack("dormqr", "L", trans, reflectors, tau, x[1:], x.shape[1])
+    return np.concatenate((x[:1], rows))
 
 
 def _near_null_svd(a, threshold):
@@ -217,24 +261,31 @@ def _near_null_svd(a, threshold):
     singular vectors of the smallest ones, as the thin SVD of the dense
     ``K`` (``tests/oracles.py``) gives them, without forming ``K``.
 
-    ``G = K.T K`` is reduced to tridiagonal form once (blocked ``dsytrd``).
-    Bisection (``dstebz``) on the tridiagonal matrix gives only the
-    eigenvalues read: the largest and the two lowest, which estimate the
+    ``G = K.T K`` is reduced in place to tridiagonal form ``T = Q.T G Q``
+    once (blocked ``dsytrd``).  Bisection (``dstebz``) on ``T`` gives only
+    the eigenvalues read: the largest and the two lowest, which estimate the
     caller's threshold, those of the window, and the first above the
     window.  The window holds the ``k``
     lowest eigenvectors, at least two, enough to hold every root at or
     below ``_GRAM_RESOLUTION * n * sqrt(eps) * sigma_max`` and every root at
-    or below twice the estimated threshold.  Only these ``k`` vectors are
-    computed, by inverse iteration (``dstein``) on the tridiagonal matrix
-    and ``dormqr`` with the stored reflectors.
+    or below twice the estimated threshold.  Only these ``k`` vectors ``Y``
+    of ``T`` are computed, by inverse iteration (``dstein``).
 
     One corrected semi-normal step removes the rounding that forming ``G``
-    left in the window ``V``: ``V <- qr(V - inv(M) (I - V V.T) K.T (K V))``
-    with ``M = G + lambda_max V V.T``, solved by one Cholesky factorization.
-    With ``(V_c, L_c)`` the eigenpairs outside the window,
-    ``inv(M) (I - V V.T) = V_c inv(L_c) V_c.T``, so the eigenvectors outside
-    the window are never formed.  The SVD of ``K V`` then gives the tail of
-    the spectrum and its right vectors.  Should the first root outside the
+    left in the window ``V = Q Y``: ``V <- qr(V - V_c inv(L_c) V_c.T K.T
+    (K V))``, with ``(V_c, L_c)`` the eigenpairs of ``G`` outside the
+    window, which are never formed.  The step is taken in the tridiagonal
+    basis, where ``Y`` spans the window of ``T``: with ``P = I - Y Y.T`` and
+    ``b = P Q.T K.T (K V)``, ``x = P inv(T) b`` off the window is summed
+    from ``_STEP_SOLVES`` solves with ``T + shift I`` (``dptsv``), and
+    ``V <- qr(Q (Y - x))``; ``Q`` is applied by ``dormqr`` with the stored
+    reflectors.  ``G`` is not read after the reduction, so at most two
+    ``n**2 x n**2`` arrays are alive at once: ``G`` and the product
+    :func:`_gram` forms it from, then ``G`` reduced in place and a copy of
+    its reflectors.
+
+    The SVD of ``K V`` then gives the tail of the spectrum and its right
+    vectors.  Should the first root outside the
     window, the square root of eigenvalue ``k + 1``, not exceed
     ``2 * threshold(sigma)`` of the final values, the window doubles and the
     step is repeated, so every value a caller compares with its threshold
@@ -258,6 +309,11 @@ def _near_null_svd(a, threshold):
         The right singular vectors of the window: row ``j`` belongs to
         ``sigma[len(sigma) - k + j]``.  Every value below the threshold lies
         in the window, so these are all the rows a caller reads.
+
+    Raises
+    ------
+    NumericalError
+        If a LAPACK routine reports a failure.
     """
     n2 = a.n * a.n
     if n2 == 1:
@@ -266,17 +322,21 @@ def _near_null_svd(a, threshold):
         return np.zeros(1), np.ones((1, 1))
     a, exponent = _unit_scaled(a)
     g = _gram(a)
-    lwork, _ = lapack.dsytrd_lwork(n2, lower=1)
-    refl, diag, offdiag, tau, _ = lapack.dsytrd(g, lower=1, lwork=int(lwork))
-    # the reflectors in the layout dormqr reads; dropping dsytrd's own array
-    # keeps at most three n**2 x n**2 arrays alive
+    (lwork,) = _lapack("dsytrd_lwork", n2, lower=1)
+    # G is symmetric, so its transpose is the same matrix in the column
+    # order in which dsytrd reduces it in place
+    refl, diag, offdiag, tau = _lapack("dsytrd", g.T, lower=1, lwork=int(lwork), overwrite_a=1)
+    # the reflectors in the layout dormqr reads; G is not read again
     reflectors = np.asfortranarray(refl[1:, :-1])
-    del refl
+    del g, refl
     lam_max = _bisect(diag, offdiag, True, n2, n2)[0][0]
     lowest = _bisect(diag, offdiag, True, 1, 2)
     # sigma_max and the two lowest roots, all that the threshold reads
     ends = np.sqrt(np.maximum([lam_max, *sorted(lowest[0], reverse=True)], 0.0))
     resolution = _GRAM_RESOLUTION * a.n * np.sqrt(np.finfo(float).eps) * ends[0]
+    # 1e2 * n**2 * eps * lambda_max, above the rounding of T's eigenvalues,
+    # about n**2 * eps * lambda_max, so T + shift I is positive definite
+    shift = _STEP_SHIFT * resolution ** 2
     estimate = threshold(np.ldexp(ends, exponent))
     cut = max(resolution, np.ldexp(2.0 * estimate, -exponent))
     # the lower end lies below every eigenvalue, even when G = 0
@@ -285,20 +345,22 @@ def _near_null_svd(a, threshold):
         window = lowest
     while True:
         k = len(window[0])
-        v = _gram_window(reflectors, tau, diag, offdiag, window)
+        y = _gram_window(reflectors, tau, diag, offdiag, window)
         if k < n2:
-            # the window holds every root at or below the resolution, so no
-            # eigenvalue of M lies below resolution**2, about 1e4 * n**2 *
-            # eps * lambda_max: the Cholesky factorization cannot break down
-            shifted = (lam_max * v) @ v.T
-            shifted += g
-            # symmetric, so the transpose is the same matrix in the column
-            # order LAPACK factors in place
-            m_chol, _ = lapack.dpotrf(shifted.T, lower=1, overwrite_a=1)
-            step = _apply_kt(a, _apply_k(a, v))
-            step -= v @ (v.T @ step)
-            step, _ = lapack.dpotrs(m_chol, step, lower=1)
-            v, _ = np.linalg.qr(v - step)
+            kv = _apply_k(a, _apply_q(reflectors, tau, y))
+            b = _apply_q(reflectors, tau, _apply_kt(a, kv), "T")
+            b -= y @ (y.T @ b)
+            # x = sum_j inv(T + shift I) (shift inv(T + shift I))**j b
+            x = np.zeros_like(b)
+            shifted = diag + shift
+            for _ in range(_STEP_SOLVES):
+                b = _lapack("dptsv", shifted, offdiag, b)[2]
+                x += b
+                b *= shift
+            x -= y @ (y.T @ x)
+            v, _ = np.linalg.qr(_apply_q(reflectors, tau, y - x))
+        else:
+            v = _apply_q(reflectors, tau, y)
         _, tail, rot = np.linalg.svd(_apply_k(a, v), full_matrices=False)
         # eigenvalue k + 1, the first outside the window
         lam_next = lam_max if k + 1 >= n2 else _bisect(diag, offdiag, True, k + 1, k + 1)[0][0]

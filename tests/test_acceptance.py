@@ -18,7 +18,6 @@ ones scores the worst PI, pi / 2.
 """
 
 import numpy as np
-import pytest
 
 from gjbd.analysis import (
     bdiag,

@@ -26,6 +26,7 @@ from gjbd.matkernels import InseparableClustersError
 from gjbd.nullspace import MatrixSet, delta_nullspace
 from gjbd.partition import Partition
 from oracles import nonunique_example
+from test_nullspace import reporting_failure
 from test_solvers import NEAR_DEFECTIVE_SKEW
 
 
@@ -220,6 +221,20 @@ class TestSolve:
         code = run("solve", inp, "--method", method, "--seed", 215, "--out", out)
         assert code == EXIT_NUMERICAL
         assert "inseparable" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("routine", ["dstebz", "dstein", "dptsv"])
+    def test_lapack_failure_exit_code(self, tmp_path, capsys, monkeypatch, routine):
+        # a failed LAPACK routine in the near-null kernel is a numerical
+        # failure, reported on one line
+        inp = synth(tmp_path, "set.json", "3,3,3", 20, 40, 0)
+        lapack = gjbd.nullspace.lapack
+        monkeypatch.setattr(lapack, routine, reporting_failure(getattr(lapack, routine)))
+        out = tmp_path / "res.json"
+        code = run("solve", inp, "--out", out)
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and routine in err[0]
         assert not out.exists()
 
 

@@ -6,10 +6,12 @@ import scipy.linalg
 
 from gjbd import nullspace
 from gjbd.datagen import generate_model
+from gjbd.matkernels import NumericalError
 from gjbd.nullspace import (
     MatrixSet,
     _apply_k,
     _apply_kt,
+    _apply_q,
     _bisect,
     _gram,
     _gram_window,
@@ -173,8 +175,9 @@ def test_matches_dense_svd(kind):
 class TestNearNullSvd:
     @pytest.mark.parametrize("kind", FUZZ_KINDS)
     def test_window_spans_lowest_gram_eigenvectors(self, kind):
-        # the bisection/dstein/dormqr window against a full eigh of the same
-        # G, for every k at which the eigengap bounds the eigenvector error.
+        # the bisection/dstein window, taken from the tridiagonal basis to
+        # G's by dormqr, against a full eigh of the same G, for every k at
+        # which the eigengap bounds the eigenvector error.
         # Inverse iteration reorthogonalizes within clusters and keeps the
         # vectors orthogonal to O(N eps) for G of order N; the corrected
         # step orthonormalizes them again
@@ -191,7 +194,8 @@ class TestNearNullSvd:
                 if gap <= 1e-6 * lam[-1]:
                     continue
                 window = _bisect(diag, offdiag, True, 1, k)
-                v = _gram_window(reflectors, tau, diag, offdiag, window)
+                y = _gram_window(reflectors, tau, diag, offdiag, window)
+                v = _apply_q(reflectors, tau, y)
                 assert v.shape == (len(lam), k)
                 assert np.linalg.norm(v.T @ v - np.eye(k)) <= 1e3 * len(lam) * eps
                 angles = scipy.linalg.subspace_angles(v, vecs[:, :k])
@@ -407,6 +411,41 @@ class TestDeltaNullspace:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+    @pytest.mark.parametrize("k", [6, 8])
+    def test_kernel_holds_two_gram_sized_arrays(self, k):
+        # G is reduced in place and not read after its reflectors are
+        # copied, and the corrected step solves in the tridiagonal basis, so
+        # a call holds at most two n**2 x n**2 arrays, plus the n**2 x k
+        # window and LAPACK workspace
+        inst = generate_model(Partition((k,) * 4), 20, 40.0, 0)
+        n2 = (4 * k) ** 2
+        tracemalloc.start()
+        try:
+            delta_nullspace(inst.a, 1.2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n2 * n2 * 8
+
+
+def reporting_failure(routine):
+    """``routine`` with its ``info``, the last output, set to 1."""
+    def failed(*args, **kwargs):
+        return (*routine(*args, **kwargs)[:-1], 1)
+    return failed
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein", "dptsv"])
+def test_lapack_failure_raises(monkeypatch, routine):
+    # a routine that reports a failure stops the solve instead of passing
+    # its output on; at 40 dB the window is smaller than the space, so the
+    # corrected step solves with dptsv
+    lapack = nullspace.lapack
+    monkeypatch.setattr(lapack, routine, reporting_failure(getattr(lapack, routine)))
+    a = generate_model(Partition((3, 3, 3)), 20, 40.0, 0).a
+    with pytest.raises(NumericalError, match=routine):
+        delta_nullspace(a, 1.2)
 
 
 class TestBasisExcludingIdentity:

@@ -5,10 +5,11 @@ from gjbd.analysis import bdiag, cost_ls, performance_index, verify_offblock_bou
 from gjbd.datagen import generate_model
 from gjbd.matkernels import InseparableClustersError
 from gjbd.nullspace import MatrixSet, delta_nullspace, exact_nullspace
-from gjbd.partition import Partition, partition_equivalent
+from gjbd.partition import Partition, cluster_by_gap, partition_equivalent
 from gjbd.solvers import (
     SolverConfig,
     UnsplittableError,
+    _gap_clusters,
     conservative_solve,
     exact_solve,
     greedy_solve,
@@ -17,6 +18,7 @@ from gjbd.solvers import (
     one_step_split_with_trace,
 )
 from oracles import eig_decomp_for_partition, nonunique_example
+from test_partition import schur_with
 
 
 def check_solution_invariants(a, solution, tol=1e-12):
@@ -351,6 +353,29 @@ def test_reordering_descent_gives_one_block():
     solution = greedy_solve(NEAR_DEFECTIVE_SKEW, SolverConfig(seed=0))
     assert solution.partition.sizes == (3,)
     assert solution.no_split
+
+
+class TestGapClusters:
+    """Greedy's descent rule on constructed Schur forms, whose real parts,
+    unlike those of NEAR_DEFECTIVE_SKEW, no rounding sets."""
+
+    @pytest.mark.parametrize("re", [[0.0, 1.0, 0.75, 2.0], [0.0, 1.0, 0.5, 2.0],
+                                    [2.0, 0.0, 1.0, 1.5]],
+                             ids=["at-mu-range", "above-mu-range", "whole-range"])
+    def test_descent_of_mu_range_gives_one_cluster(self, re):
+        # range 2 and mu 1/8: descents of 0.25, exactly mu * range, of 0.5
+        # and of the whole range, which cluster_by_gap rejects as unsorted
+        schur = schur_with(re)
+        assert _gap_clusters(schur, 0.125).sizes == (4,)
+        with pytest.raises(ValueError):
+            cluster_by_gap(schur, 0.125)
+
+    def test_smaller_descent_clusters_by_gap(self):
+        # a descent of 1/32 against mu * range = 0.2578: the real parts
+        # cluster by gap, with a boundary at the gap of 1.96875
+        schur = schur_with([0.0, 0.0625, 0.03125, 2.0, 2.0625])
+        assert _gap_clusters(schur, 0.125).sizes == (3, 2)
+        assert cluster_by_gap(schur, 0.125).sizes == (3, 2)
 
 
 def _congruence(rng, a):
