@@ -82,12 +82,6 @@ class NullSpaceBasis:
     basis : list of ndarray
         Matrices reshaped from the right singular directions with singular
         value below ``delta``, smallest singular value first.
-    includes_identity_direction : bool
-        Whether the identity lies in the span of ``basis``: its coordinates
-        in ``basis`` have norm at least ``1 - 1e-8``.  Read only by greedy
-        and exact mode, whose answer is trivial when the basis holds nothing
-        beyond the identity; :func:`basis_excluding_identity` does not read
-        it.
     rank_cutoff : bool
         Whether ``delta`` is the numerical-rank cutoff, so that ``basis``
         spans the exact null space.
@@ -96,7 +90,6 @@ class NullSpaceBasis:
     delta: float
     sigma: np.ndarray
     basis: list
-    includes_identity_direction: bool
     rank_cutoff: bool
 
     @property
@@ -214,32 +207,13 @@ def _bisect(diag, offdiag, by_index, low, high):
     lowest (1-based) when ``by_index``, else those in ``(low, high]``.
 
     Returns ``(w, iblock, isplit)``: the values grouped by split-off block
-    and ascending within each, as :func:`_gram_window` reads them.
+    and ascending within each, as inverse iteration (``dstein``) reads them.
     """
     if by_index:
         m, w, iblock, isplit = _lapack("dstebz", diag, offdiag, 2, 0.0, 0.0, low, high, 0.0, "B")
     else:
         m, w, iblock, isplit = _lapack("dstebz", diag, offdiag, 1, low, high, 0, 0, 0.0, "B")
     return w[:m], iblock, isplit
-
-
-def _gram_window(reflectors, tau, diag, offdiag, window):
-    """Eigenvectors of the symmetric tridiagonal matrix ``(diag, offdiag)``
-    of order ``N`` for the ``k`` eigenvalues of ``window``, the output of
-    :func:`_bisect` on it, by inverse iteration (``dstein``).
-
-    The vectors stay in the tridiagonal basis, where the corrected step of
-    :func:`_near_null_svd` solves; ``reflectors`` and ``tau``, the rest of
-    the ``dsytrd`` reduction, are not read here, and :func:`_apply_q` takes
-    the vectors to the basis of the reduced matrix.
-
-    Returns
-    -------
-    ndarray, shape (N, k)
-    """
-    w, iblock, isplit = window
-    (z,) = _lapack("dstein", diag, offdiag, w, iblock, isplit)
-    return z
 
 
 def _apply_q(reflectors, tau, x, trans="N"):
@@ -345,7 +319,7 @@ def _near_null_svd(a, threshold):
         window = lowest
     while True:
         k = len(window[0])
-        y = _gram_window(reflectors, tau, diag, offdiag, window)
+        (y,) = _lapack("dstein", diag, offdiag, *window)
         if k < n2:
             kv = _apply_k(a, _apply_q(reflectors, tau, y))
             b = _apply_q(reflectors, tau, _apply_kt(a, kv), "T")
@@ -404,15 +378,7 @@ def _near_null_basis(a, gamma):
         count = int(np.sum(sigma < delta))
     # vt holds the rows of the window only, the last len(vt) values of sigma
     basis = [vt[-(j + 1)].reshape((n, n), order="F") for j in range(count)]
-    # the identity's coordinates in the basis; an empty basis has norm 0
-    coords = np.array([np.trace(z) / np.sqrt(n) for z in basis])
-    return NullSpaceBasis(
-        delta=float(delta),
-        sigma=sigma,
-        basis=basis,
-        includes_identity_direction=bool(np.linalg.norm(coords) >= 1.0 - 1e-8),
-        rank_cutoff=rank_cutoff,
-    )
+    return NullSpaceBasis(delta=float(delta), sigma=sigma, basis=basis, rank_cutoff=rank_cutoff)
 
 
 def delta_nullspace(a, gamma):

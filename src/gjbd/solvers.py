@@ -159,13 +159,17 @@ def _largest_gap(schur):
 
 
 def _combination_solve(a, basis_obj, cfg):
-    # greedy's path: a random combination of the basis, clustered by gap;
-    # the identity flag alone decides when the basis holds nothing beyond
-    # the identity (always at order one)
-    if basis_obj.dim - basis_obj.includes_identity_direction == 0:
+    # greedy's path: a random combination of the basis, clustered by gap.
+    # The answer is trivial when the basis holds nothing beyond the
+    # identity: when it is empty, or its one member has identity coordinate
+    # |trace(Z)| / sqrt(n) of at least 1 - 1e-8 (always at order one).  A
+    # basis of two or more orthonormal members spans more than the identity
+    # and is always combined, whatever share of it the identity takes
+    zs = basis_obj.basis
+    if not zs or (len(zs) == 1 and abs(np.trace(zs[0])) / np.sqrt(a.n) >= 1.0 - 1e-8):
         return _trivial_solution(a), SolveTrace(z=None, basis=basis_obj)
-    alpha = np.random.default_rng(cfg.seed).standard_normal(len(basis_obj.basis))
-    z = sum(c * zj for c, zj in zip(alpha, basis_obj.basis))
+    alpha = np.random.default_rng(cfg.seed).standard_normal(len(zs))
+    z = sum(c * zj for c, zj in zip(alpha, zs))
     mu = cfg.resolve_mu(a.n, basis_obj.rank_cutoff)
     solution = _solution_from_direction(a, z, lambda schur: _gap_clusters(schur, mu))
     return solution, SolveTrace(z=z, basis=basis_obj)

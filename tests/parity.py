@@ -21,7 +21,8 @@ solve raised.
 ``compare`` counts the answers whose ordered partition changed and those
 whose block multiset changed, lists the latter, and gives per method the
 largest change of the performance index among answers with the same
-partition.
+partition.  It reads only the two files, and like ``cmp`` it exits 1 when
+any ordered partition, error or ``W`` hash differs, else 0.
 The file name keeps pytest from collecting it.
 """
 
@@ -37,17 +38,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import numpy as np  # noqa: E402
-
-from gjbd import (  # noqa: E402
-    NumericalError,
-    Partition,
-    SolverConfig,
-    conservative_solve,
-    exact_solve,
-    generate_model,
-    greedy_solve,
-    performance_index,
-)
 
 SNRS = (20.0, 40.0, 60.0, 80.0)
 NOISY = (((3, 3, 3), 12), ((1, 2, 3, 4), 12), ((4, 4, 4, 4), 6), ((5, 5, 5, 5), 6))
@@ -68,6 +58,18 @@ def parity_cases():
 
 
 def answer(method, sizes, m, snr, seed):
+    # imported here so that compare, which reads only JSON, runs without it
+    from gjbd import (
+        NumericalError,
+        Partition,
+        SolverConfig,
+        conservative_solve,
+        exact_solve,
+        generate_model,
+        greedy_solve,
+        performance_index,
+    )
+
     p = Partition(sizes)
     inst = generate_model(p, m, snr, seed)
     record = {"method": method, "sizes": list(sizes), "m": m,
@@ -113,13 +115,15 @@ def solve(path):
 
 
 def compare(before_path, after_path):
+    """Print the changes between two answer files; the exit status, 1 when
+    any ordered partition, error or ``W`` hash differs, else 0."""
     with open(before_path) as f:
         before = {key(r): r for r in json.load(f)["answers"]}
     with open(after_path) as f:
         after = {key(r): r for r in json.load(f)["answers"]}
     if before.keys() != after.keys():
         raise SystemExit("error: the two files hold different parity sets")
-    ordered, multiset, same_w, pi_moves = [], [], 0, {}
+    ordered, multiset, same_w, changed_w, pi_moves = [], [], 0, 0, {}
     for k, old in before.items():
         new = after[k]
         got = (old.get("partition", old.get("error")), new.get("partition", new.get("error")))
@@ -132,7 +136,10 @@ def compare(before_path, after_path):
             if old["pi"] is not None:
                 moves = pi_moves.setdefault(k[0], [])
                 moves.append(abs(new["pi"] - old["pi"]))
-            same_w += old["w_sha256"] == new["w_sha256"]
+            if old["w_sha256"] == new["w_sha256"]:
+                same_w += 1
+            else:
+                changed_w += 1
     print(f"{len(before)} answers: {len(ordered)} ordered partitions changed, "
           f"{len(multiset)} block multisets changed, {same_w} W byte-identical")
     by_method = Counter(k[0] for k in ordered)
@@ -141,12 +148,13 @@ def compare(before_path, after_path):
         print("multiset change:", line)
     for method, moves in sorted(pi_moves.items()):
         print(f"{method}: largest |PI change| with the same partition {max(moves):.3g}")
+    return int(bool(ordered or changed_w))
 
 
 if __name__ == "__main__":
     if len(sys.argv) == 3 and sys.argv[1] == "solve":
         solve(sys.argv[2])
     elif len(sys.argv) == 4 and sys.argv[1] == "compare":
-        compare(sys.argv[2], sys.argv[3])
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
     else:
         raise SystemExit(__doc__)

@@ -14,7 +14,7 @@ from gjbd.nullspace import (
     _apply_q,
     _bisect,
     _gram,
-    _gram_window,
+    _lapack,
     basis_excluding_identity,
     delta_nullspace,
     exact_nullspace,
@@ -32,6 +32,13 @@ def vec(z):
 
 def random_exact_set(p, m, seed):
     return generate_model(p, m, np.inf, seed).a
+
+
+def spans_identity(b):
+    """Whether the identity lies in the span of ``b.basis``: its coordinates
+    there have norm at least ``1 - 1e-8`` (0 for an empty basis)."""
+    coords = np.array([np.trace(z) / np.sqrt(len(z)) for z in b.basis])
+    return np.linalg.norm(coords) >= 1.0 - 1e-8
 
 
 class TestMatrixSet:
@@ -194,7 +201,7 @@ class TestNearNullSvd:
                 if gap <= 1e-6 * lam[-1]:
                     continue
                 window = _bisect(diag, offdiag, True, 1, k)
-                y = _gram_window(reflectors, tau, diag, offdiag, window)
+                (y,) = _lapack("dstein", diag, offdiag, *window)
                 v = _apply_q(reflectors, tau, y)
                 assert v.shape == (len(lam), k)
                 assert np.linalg.norm(v.T @ v - np.eye(k)) <= 1e3 * len(lam) * eps
@@ -242,19 +249,19 @@ class TestNearNullSvd:
         # returns its k vectors, not an N x N array as dstemr did
         reductions = []
         windows = []
-        dsytrd, gram_window = nullspace.lapack.dsytrd, nullspace._gram_window
+        dsytrd, dstein = nullspace.lapack.dsytrd, nullspace.lapack.dstein
 
         def recording_dsytrd(g, **kwargs):
             reductions.append((len(g), kwargs.get("lwork", len(g))))
             return dsytrd(g, **kwargs)
 
-        def recording_window(reflectors, tau, diag, offdiag, window):
-            v = gram_window(reflectors, tau, diag, offdiag, window)
-            windows.append((len(diag), len(window[0]), v.shape))
-            return v
+        def recording_window(diag, offdiag, w, *args, **kwargs):
+            v, *rest = dstein(diag, offdiag, w, *args, **kwargs)
+            windows.append((len(diag), len(w), v.shape))
+            return (v, *rest)
 
         monkeypatch.setattr(nullspace.lapack, "dsytrd", recording_dsytrd)
-        monkeypatch.setattr(nullspace, "_gram_window", recording_window)
+        monkeypatch.setattr(nullspace.lapack, "dstein", recording_window)
         calls = 0
         for sizes, snr in [((3, 3, 3), 40.0), ((5, 5, 5, 5), 40.0), ((2, 2, 2), np.inf)]:
             a = generate_model(Partition(sizes), 20, snr, 0).a
@@ -273,14 +280,14 @@ class TestNearNullSvd:
         # window must double until the first root outside it exceeds twice
         # the cut, and every value up to there comes from the tail
         windows = []
-        gram_window = nullspace._gram_window
+        dstein = nullspace.lapack.dstein
 
-        def counting(reflectors, tau, diag, offdiag, window):
-            v = gram_window(reflectors, tau, diag, offdiag, window)
+        def counting(*args, **kwargs):
+            v, *rest = dstein(*args, **kwargs)
             windows.append(v.shape[1])
-            return v
+            return (v, *rest)
 
-        monkeypatch.setattr(nullspace, "_gram_window", counting)
+        monkeypatch.setattr(nullspace.lapack, "dstein", counting)
         estimated = []
 
         def threshold(sigma):
@@ -349,7 +356,7 @@ class TestDeltaNullspace:
         assert b.dim >= 1
         assert np.all(np.diff(b.sigma) <= 1e-12)  # non-increasing
         assert b.sigma[-1] <= exact_rank_tolerance(inst.a, b.sigma[0])
-        assert b.includes_identity_direction
+        assert spans_identity(b)
         for z in b.basis:
             assert abs(np.linalg.norm(z) - 1.0) <= 1e-12
             assert residual(inst.a, z) <= b.delta ** 2 * (1 + 1e-10)
@@ -389,7 +396,7 @@ class TestDeltaNullspace:
         a = generate_model(Partition(sizes), 20, snr, seed).a
         b = exact_nullspace(a)
         assert b.dim == 1
-        assert b.includes_identity_direction
+        assert spans_identity(b)
 
     @pytest.mark.parametrize("scale", [1e-160, 1e160])
     def test_extreme_scale(self, scale):
@@ -399,7 +406,7 @@ class TestDeltaNullspace:
         a = MatrixSet(scale * inst.a.mats)
         for b in (delta_nullspace(a, 1.2), exact_nullspace(a)):
             assert b.dim == 2
-            assert b.includes_identity_direction
+            assert spans_identity(b)
 
     def test_memory_stays_below_dense_operator(self):
         # the dense operator alone is 20 * 32**2 * 32**2 doubles, 168 MB
@@ -468,7 +475,7 @@ class TestBasisExcludingIdentity:
         assert len(zs) == 2  # trace-zero symmetric 2x2
 
     @staticmethod
-    def _residue_basis(sin, flagged):
+    def _residue_basis(sin):
         # an orthonormal basis [first, y] whose first element misses the
         # identity by sin(theta); y is trace-free
         rng = np.random.default_rng(3)
@@ -477,21 +484,23 @@ class TestBasisExcludingIdentity:
         x, y = (q[:, j].reshape((3, 3), order="F") for j in (1, 2))
         first = np.sqrt(1.0 - sin ** 2) * ident + sin * x
         b = nullspace.NullSpaceBasis(delta=1.0, sigma=np.zeros(9), basis=[first, y],
-                                     includes_identity_direction=flagged, rank_cutoff=False)
+                                     rank_cutoff=False)
         return b, y
 
     def test_drops_identity_residue_when_flagged(self):
-        # a miss of 1e-6, well inside the flag's rule, is rounding residue,
-        # not a trace-free direction of the space, and must not come back
-        b, y = self._residue_basis(1e-6, True)
+        # a miss of 1e-6, well inside spans_identity's 1e-8 on the norm, is
+        # rounding residue, not a trace-free direction of the space, and
+        # must not come back
+        b, y = self._residue_basis(1e-6)
         zs = basis_excluding_identity(b)
         assert len(zs) == 1
         assert abs(abs(np.sum(zs[0] * y)) - 1.0) <= 1e-12
 
     def test_drops_identity_residue_when_not_flagged(self):
-        # a miss of 1e-3 turns the flag off; the trace constraint does not
-        # read it and still leaves the one trace-free direction
-        b, y = self._residue_basis(1e-3, False)
+        # a miss of 1e-3 is past spans_identity's 1e-8; the trace
+        # constraint does not test for the identity and still leaves the
+        # one trace-free direction
+        b, y = self._residue_basis(1e-3)
         zs = basis_excluding_identity(b)
         assert len(zs) == 1
         assert abs(abs(np.sum(zs[0] * y)) - 1.0) <= 1e-12

@@ -4,11 +4,12 @@ import pytest
 from gjbd.analysis import bdiag, cost_ls, performance_index, verify_offblock_bound
 from gjbd.datagen import generate_model
 from gjbd.matkernels import InseparableClustersError
-from gjbd.nullspace import MatrixSet, delta_nullspace, exact_nullspace
+from gjbd.nullspace import MatrixSet, NullSpaceBasis, delta_nullspace, exact_nullspace
 from gjbd.partition import Partition, cluster_by_gap, partition_equivalent
 from gjbd.solvers import (
     SolverConfig,
     UnsplittableError,
+    _combination_solve,
     _gap_clusters,
     conservative_solve,
     exact_solve,
@@ -127,6 +128,36 @@ class TestGreedySolve:
         assert solution.partition.sizes == (1,)
         assert solution.cost == 0.0
 
+    @staticmethod
+    def _hand_basis(members):
+        # one member per entry: the unit matrix that misses I / sqrt(3) by
+        # sin(theta) = entry towards x, or y for None; x and y are
+        # orthonormal and trace-free
+        rng = np.random.default_rng(3)
+        ident = np.eye(3) / np.sqrt(3)
+        q, _ = np.linalg.qr(np.column_stack([ident.ravel(), rng.standard_normal((9, 2))]))
+        x, y = (q[:, j].reshape(3, 3) for j in (1, 2))
+        basis = [y if sin is None else np.sqrt(1.0 - sin ** 2) * ident + sin * x
+                 for sin in members]
+        return NullSpaceBasis(delta=1.0, sigma=np.zeros(9), basis=basis, rank_cutoff=False)
+
+    @pytest.mark.parametrize("members, trivial", [
+        ((), True), ((0.0,), True), ((1e-6,), True), ((1e-3,), False), ((0.0, None), False)],
+        ids=["empty", "identity", "miss-1e-6", "miss-1e-3", "identity-and-more"])
+    def test_trivial_rule_on_constructed_bases(self, members, trivial):
+        # greedy's and exact's answer is trivial exactly when the basis holds
+        # nothing beyond the identity: it is empty, or its one member has
+        # identity coordinate at least 1 - 1e-8 (a miss of 1e-6 leaves
+        # 1 - 5e-13, one of 1e-3 leaves 1 - 5e-7); two members always combine
+        a = generate_model(Partition((1, 2)), 4, np.inf, 0).a
+        basis = self._hand_basis(members)
+        solution, trace = _combination_solve(a, basis, SolverConfig())
+        assert trace.basis is basis
+        assert (trace.z is None) is trivial
+        if trivial:
+            assert solution.no_split and solution.cost == 0.0
+            assert np.array_equal(solution.w, np.eye(3))
+
 
 class TestOneStepSplit:
     def test_exact_two_block_set(self):
@@ -153,12 +184,14 @@ class TestOneStepSplit:
         _, trace = one_step_split_with_trace(inst.a)
         assert abs(np.trace(trace.z)) <= 1e-10
 
-    @pytest.mark.parametrize("space", ["exact", "delta"])
-    def test_given_basis_never_changes_answer(self, space):
+    @pytest.mark.parametrize("space, snr", [("exact", 40.0), ("delta", 40.0), ("exact", np.inf)],
+                             ids=["exact", "delta", "exact-set"])
+    def test_given_basis_never_changes_answer(self, space, snr):
         # the split uses a basis only when its own delta rule cuts that
         # spectrum at the same delta: never the rank cutoff of a 40 dB set,
-        # always the space delta_nullspace gives for the same gamma
-        inst = generate_model(Partition((3, 3, 3)), m=20, snr=40, seed=0)
+        # always the space delta_nullspace gives for the same gamma, and the
+        # rank cutoff of an exact set, where gamma also cuts at numerical rank
+        inst = generate_model(Partition((3, 3, 3)), m=20, snr=snr, seed=0)
         basis = exact_nullspace(inst.a) if space == "exact" else delta_nullspace(inst.a, 1.2)
         ref, ref_trace = one_step_split_with_trace(inst.a, 1.2)
         split, trace = one_step_split_with_trace(inst.a, 1.2, basis)
@@ -166,7 +199,7 @@ class TestOneStepSplit:
         assert split.cost == ref.cost
         assert trace.z.tobytes() == ref_trace.z.tobytes()
         assert trace.delta == ref_trace.delta
-        assert (trace.basis is basis) is (space == "delta")
+        assert (trace.basis is basis) is (space == "delta" or snr == np.inf)
 
 
 class TestConservativeSolve:
@@ -214,10 +247,10 @@ class TestConservativeSolve:
         ids=["111-240dB", "111-260dB", "222-260dB"])
     def test_true_blocks_where_span_misses_identity(self, sizes, m, snr, seed):
         # the identity's coordinates in the computed span have norm 1 - 2e-8
-        # to 1 - 3.5e-8, past the flag's 1e-8, so the flag is off; a split
-        # along the identity's residue cost 1.1-2.3 eps**2 and left one
-        # block.  The trace constraint removes that residue whatever the
-        # flag says
+        # to 1 - 3.5e-8, so the span misses the identity by more than 1e-8;
+        # a split along the identity's residue cost 1.1-2.3 eps**2 and left
+        # one block.  The trace constraint removes that residue whatever
+        # that norm is
         p = Partition(sizes)
         eps = 3 * p.n ** 2 * 10 ** (-snr / 20)
         inst = generate_model(p, m, snr, seed)
