@@ -100,7 +100,7 @@ class NullSpaceBasis:
 def exact_rank_tolerance(a, sigma_max):
     """Numerical-rank cutoff for the stacked operator of ``a``."""
     n2 = a.n * a.n
-    return max(a.m * n2, n2) * np.finfo(float).eps * sigma_max
+    return a.m * n2 * np.finfo(float).eps * sigma_max
 
 
 # Below this multiple of n * sqrt(eps) * sigma_max, sqrt(eig(G)) is lost to

@@ -61,12 +61,15 @@ def cluster_by_gap(schur, mu):
 
     A boundary is placed after position ``i`` whenever the consecutive gap
     reaches ``mu`` times the range ``max - min`` of the real parts and
-    ``schur.cuts[i]`` allows a block to end there.  A range at rounding
-    level, at most ``1e3 * eps * ||t||_F`` (the scale of the decoupling
-    guard), yields a single cluster: such gaps come from rounding, not from
-    the spectrum.  The reordering of near-defective eigenvalues can leave
-    descents far above that level; one below ``mu`` times the range is
-    accepted, because a gap that small never places a boundary.
+    ``schur.cuts[i]`` allows a block to end there.  Two kinds of real parts
+    form a single cluster.  A range at rounding level, at most
+    ``1e3 * eps * ||t||_F`` (the scale of the decoupling guard), comes from
+    rounding, not from the spectrum.  A descent of ``mu`` times the range or
+    more means the range is reordering error: the ordering sorts the real
+    parts, so a descent is what swapping near-defective blocks (Bai and
+    Demmel) perturbed them by, and the range is at most ``1 / mu`` times
+    that perturbation.  A smaller descent is clustered by gap like a sorted
+    order, because a gap that small never places a boundary.
 
     Parameters
     ----------
@@ -83,18 +86,15 @@ def cluster_by_gap(schur, mu):
     Raises
     ------
     ValueError
-        If ``mu`` lies outside (0, 1) or the real parts descend by ``mu``
-        times their range or more.
+        If ``mu`` lies outside (0, 1).
     """
     if not 0.0 < mu < 1.0:
         raise ValueError("mu must lie in (0, 1)")
     re = schur.eig_real_parts
     gaps = np.diff(re)
     rng = re.max() - re.min()
-    if rng <= 1e3 * np.finfo(float).eps * np.linalg.norm(schur.t):
+    if rng <= 1e3 * np.finfo(float).eps * np.linalg.norm(schur.t) or np.any(gaps <= -mu * rng):
         return Partition((schur.n,))
-    if np.any(gaps <= -mu * rng):
-        raise ValueError("real parts must be ascending")
     boundaries = np.flatnonzero(schur.cuts & (gaps >= mu * rng)) + 1
     return Partition(np.diff(np.concatenate(([0], boundaries, [schur.n]))))
 

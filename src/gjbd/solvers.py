@@ -138,16 +138,6 @@ def _solution_from_direction(a, z, pick):
     return Solution(partition=partition, w=w, cost=cost_ls(a, partition, w))
 
 
-def _gap_clusters(schur, mu):
-    # greedy's clusters.  Reordering a near-defective spectrum perturbs its
-    # real parts, and when that leaves them descending by mu times their
-    # range or more, which cluster_by_gap rejects as unsorted, the range
-    # itself is reordering error: one cluster, as the rounding rule gives
-    re = schur.eig_real_parts
-    descent = np.any(np.diff(re) <= -mu * (re.max() - re.min()))
-    return Partition((schur.n,)) if descent else cluster_by_gap(schur, mu)
-
-
 def _largest_gap(schur):
     # two blocks at the largest real-part gap outside conjugate pairs
     gaps = np.diff(schur.eig_real_parts)
@@ -171,7 +161,7 @@ def _combination_solve(a, basis_obj, cfg):
     alpha = np.random.default_rng(cfg.seed).standard_normal(len(zs))
     z = sum(c * zj for c, zj in zip(alpha, zs))
     mu = cfg.resolve_mu(a.n, basis_obj.rank_cutoff)
-    solution = _solution_from_direction(a, z, lambda schur: _gap_clusters(schur, mu))
+    solution = _solution_from_direction(a, z, lambda schur: cluster_by_gap(schur, mu))
     return solution, SolveTrace(z=z, basis=basis_obj)
 
 

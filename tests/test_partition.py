@@ -107,14 +107,28 @@ class TestClusterByGap:
         p = cluster_by_gap(schur, mu=1.0 / 24.0)
         assert p.sizes == (4,)
 
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            cluster_by_gap(schur_with([1.0, 0.0]), 0.5)
+    def test_unsorted_pair_gives_one_cluster(self):
+        # a descent of the whole range: the range is reordering error
+        assert cluster_by_gap(schur_with([1.0, 0.0]), 0.5).sizes == (2,)
 
-    def test_rejects_descent_of_mu_times_range(self):
-        # a descent of 0.25 in a range of 2 reaches mu * range at mu = 1/8
+    @pytest.mark.parametrize("re", [[0.0, 1.0, 0.75, 2.0], [0.0, 1.0, 0.5, 2.0],
+                                    [2.0, 0.0, 1.0, 1.5]],
+                             ids=["at-mu-range", "above-mu-range", "whole-range"])
+    def test_descent_of_mu_range_gives_one_cluster(self, re):
+        # range 2 and mu 1/8: descents of 0.25, exactly mu * range, of 0.5
+        # and of the whole range; no rounding sets these real parts
+        assert cluster_by_gap(schur_with(re), 0.125).sizes == (4,)
+
+    def test_smaller_descent_clusters_by_gap(self):
+        # a descent of 1/32 against mu * range = 0.2578: the real parts
+        # cluster by gap, with a boundary at the gap of 1.96875
+        schur = schur_with([0.0, 0.0625, 0.03125, 2.0, 2.0625])
+        assert cluster_by_gap(schur, 0.125).sizes == (3, 2)
+
+    @pytest.mark.parametrize("mu", [0.0, 1.0, -0.125, 1.5])
+    def test_rejects_mu_outside_unit_interval(self, mu):
         with pytest.raises(ValueError):
-            cluster_by_gap(schur_with([0.0, 1.0, 0.75, 2.0]), mu=0.125)
+            cluster_by_gap(schur_with([0.0, 1.0]), mu)
 
     def test_descent_below_mu_times_range_is_accepted(self):
         p = cluster_by_gap(schur_with([0.0, 1.0, 1.0 - 1e-9, 2.0]), mu=0.1)
