@@ -111,19 +111,14 @@ class TestClusterByGap:
         # a descent of the whole range: the range is reordering error
         assert cluster_by_gap(schur_with([1.0, 0.0]), 0.5).sizes == (2,)
 
-    @pytest.mark.parametrize("re", [[0.0, 1.0, 0.75, 2.0], [0.0, 1.0, 0.5, 2.0],
-                                    [2.0, 0.0, 1.0, 1.5]],
-                             ids=["at-mu-range", "above-mu-range", "whole-range"])
-    def test_descent_of_mu_range_gives_one_cluster(self, re):
-        # range 2 and mu 1/8: descents of 0.25, exactly mu * range, of 0.5
-        # and of the whole range; no rounding sets these real parts
-        assert cluster_by_gap(schur_with(re), 0.125).sizes == (4,)
-
-    def test_smaller_descent_clusters_by_gap(self):
-        # a descent of 1/32 against mu * range = 0.2578: the real parts
-        # cluster by gap, with a boundary at the gap of 1.96875
-        schur = schur_with([0.0, 0.0625, 0.03125, 2.0, 2.0625])
-        assert cluster_by_gap(schur, 0.125).sizes == (3, 2)
+    def test_rejects_descent_of_mu_times_range(self):
+        # a descent of 0.25 in a range of 2 reaches mu * range at mu = 1/8,
+        # so the order is rejected as a sort and the range as reordering
+        # error; at mu = 1/4 the same descent is below mu * range and the
+        # real parts cluster by gap
+        schur = schur_with([0.0, 1.0, 0.75, 2.0])
+        assert cluster_by_gap(schur, mu=0.125).sizes == (4,)
+        assert cluster_by_gap(schur, mu=0.25).sizes == (1, 2, 1)
 
     @pytest.mark.parametrize("mu", [0.0, 1.0, -0.125, 1.5])
     def test_rejects_mu_outside_unit_interval(self, mu):
