@@ -36,7 +36,8 @@ _EXACT_CLUSTER_MU = 1e-6
 
 class UnsplittableError(RuntimeError):
     """No two-block split of the set exists (order one, an empty identity-
-    reduced near-null space, or every gap suppressed by pair atomicity)."""
+    reduced near-null space, every gap suppressed by pair atomicity, or the
+    split at the largest gap cannot be decoupled)."""
 
 
 @dataclass(frozen=True)
@@ -150,13 +151,10 @@ def _largest_gap(schur):
 
 def _combination_solve(a, basis_obj, cfg):
     # greedy's path: a random combination of the basis, clustered by gap.
-    # The answer is trivial when the basis holds nothing beyond the
-    # identity: when it is empty, or its one member has identity coordinate
-    # |trace(Z)| / sqrt(n) of at least 1 - 1e-8 (always at order one).  A
-    # basis of two or more orthonormal members spans more than the identity
-    # and is always combined, whatever share of it the identity takes
+    # The identity is an exact near-null member, so a basis of fewer than
+    # two members holds nothing beyond it and the answer is trivial
     zs = basis_obj.basis
-    if not zs or (len(zs) == 1 and abs(np.trace(zs[0])) / np.sqrt(a.n) >= 1.0 - 1e-8):
+    if len(zs) < 2:
         return _trivial_solution(a), SolveTrace(z=None, basis=basis_obj)
     alpha = np.random.default_rng(cfg.seed).standard_normal(len(zs))
     z = sum(c * zj for c, zj in zip(alpha, zs))
@@ -244,7 +242,11 @@ def one_step_split_with_trace(a, gamma=1.2, basis=None):
         # z and -z split alike with the blocks in reverse order; a
         # similarity invariant, not the basis, chooses between them
         z = -z
-    return _solution_from_direction(a, z, _largest_gap), SolveTrace(z=z, basis=basis_obj)
+    try:
+        solution = _solution_from_direction(a, z, _largest_gap)
+    except (InseparableClustersError, DegenerateBlockBasisError) as exc:
+        raise UnsplittableError("the split at the largest gap cannot be decoupled") from exc
+    return solution, SolveTrace(z=z, basis=basis_obj)
 
 
 def one_step_split(a, gamma=1.2):
@@ -277,7 +279,10 @@ def one_step_split(a, gamma=1.2):
     Raises
     ------
     UnsplittableError
-        If no admissible split exists.
+        If no admissible split exists, or the split at the largest gap cannot
+        be decoupled; the decoupling error is then its ``__cause__``.
+    NumericalError
+        If the Schur form or the near-null kernel fails.
     """
     return one_step_split_with_trace(a, gamma)[0]
 
@@ -290,7 +295,7 @@ def _propose_split(block_cols, a, gamma):
     compressed = MatrixSet(block_cols.T @ a.mats @ block_cols)
     try:
         return one_step_split(compressed, gamma)
-    except (UnsplittableError, InseparableClustersError, DegenerateBlockBasisError):
+    except UnsplittableError:
         return None
 
 

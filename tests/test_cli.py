@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -25,9 +26,17 @@ from gjbd.datagen import generate_model
 from gjbd.matkernels import InseparableClustersError
 from gjbd.nullspace import MatrixSet, delta_nullspace
 from gjbd.partition import Partition
+from gjbd.solvers import (
+    SolverConfig,
+    UnsplittableError,
+    conservative_solve,
+    exact_solve,
+    greedy_solve,
+    one_step_split,
+)
 from oracles import nonunique_example
-from test_nullspace import reporting_failure
-from test_solvers import NEAR_DEFECTIVE_SKEW
+from test_nullspace import FUZZ_KINDS, FUZZ_SETS, fuzz_set, reporting_failure
+from test_solvers import NEAR_DEFECTIVE_SKEW, check_solution_invariants
 
 
 def run(*argv):
@@ -500,6 +509,59 @@ class TestCheck:
         inp = tmp_path / "bad.json"
         inp.write_text("not json")
         assert run("check", inp, "--bounds") == EXIT_PARSE
+
+    @pytest.mark.parametrize("method", [None, "greedy", "consv", "exact"],
+                             ids=["no-result", "greedy", "consv", "exact"])
+    def test_undecoupled_split_has_no_gap(self, tmp_path, method):
+        # the split of NEAR_DEFECTIVE_SKEW at its largest gap cannot be
+        # decoupled; check once reported that as a numerical failure (exit 5)
+        # on a set every solver answers
+        inp = tmp_path / "set.json"
+        inp.write_text(json.dumps(matrix_set_document(NEAR_DEFECTIVE_SKEW)))
+        result = []
+        if method is not None:
+            res = tmp_path / "res.json"
+            assert run("solve", inp, "--method", method, "--out", res) == EXIT_TRIVIAL
+            result = ["--result", res]
+        out = tmp_path / "check.json"
+        assert run("check", inp, *result, "--bounds", "--out", out) == EXIT_OK
+        assert json.loads(out.read_text())["bounds"]["gap"] is None
+
+
+# draws of one fuzz_set stream, np.random.default_rng(11) through FUZZ_SETS
+# sets of each of FUZZ_KINDS in turn, whose split at the largest gap cannot
+# be decoupled
+_UNDECOUPLED_SPLITS = ["skew-75", "skew-117", "skew-141", "skew-197", "skew-200", "skew-222",
+                       "skew-254", "skew-275", "skew-283", "skew-294", "skew-298",
+                       "general-68", "general-106", "model-181"]
+
+
+@functools.cache
+def _fuzz_stream():
+    rng = np.random.default_rng(11)
+    return {f"{kind}-{i}": fuzz_set(rng, kind) for kind in FUZZ_KINDS for i in range(FUZZ_SETS)}
+
+
+@pytest.mark.parametrize("name", [*_UNDECOUPLED_SPLITS, "near-defective-skew"])
+def test_contract_where_split_cannot_decouple(tmp_path, name):
+    # the split reports the set as unsplittable, every solver returns a
+    # valid answer, and check ends every answer with a documented verdict
+    a = NEAR_DEFECTIVE_SKEW if name == "near-defective-skew" else _fuzz_stream()[name]
+    with pytest.raises(UnsplittableError) as err:
+        one_step_split(a)
+    assert isinstance(err.value.__cause__, InseparableClustersError)
+    for solution in (greedy_solve(a), conservative_solve(a, SolverConfig(epsilon=1e-6)),
+                     exact_solve(a)):
+        check_solution_invariants(a, solution)
+    inp = tmp_path / "set.json"
+    inp.write_text(json.dumps(matrix_set_document(a)))
+    res = tmp_path / "res.json"
+    for method in ("greedy", "consv", "exact"):
+        assert run("solve", inp, "--method", method, "--epsilon", 1e-6,
+                   "--out", res) in (EXIT_OK, EXIT_TRIVIAL)
+        code = run("check", inp, "--result", res, "--bounds", "--equivalence",
+                   "--out", tmp_path / "check.json")
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED), method
 
 
 @pytest.mark.parametrize("command, edit_set, edit_result, message", [

@@ -4,7 +4,13 @@ import pytest
 from gjbd.analysis import bdiag, cost_ls, performance_index, verify_offblock_bound
 from gjbd.datagen import generate_model
 from gjbd.matkernels import InseparableClustersError, real_schur_ordered
-from gjbd.nullspace import MatrixSet, NullSpaceBasis, delta_nullspace, exact_nullspace
+from gjbd.nullspace import (
+    MatrixSet,
+    NullSpaceBasis,
+    basis_excluding_identity,
+    delta_nullspace,
+    exact_nullspace,
+)
 from gjbd.partition import Partition, cluster_by_gap, partition_equivalent
 from gjbd.solvers import (
     SolverConfig,
@@ -141,14 +147,17 @@ class TestGreedySolve:
                  for sin in members]
         return NullSpaceBasis(delta=1.0, sigma=np.zeros(9), basis=basis, rank_cutoff=False)
 
+    _HAND_BASES = {"empty": (), "identity": (0.0,), "miss-1e-6": (1e-6,),
+                   "miss-1e-3": (1e-3,), "identity-and-more": (0.0, None)}
+
     @pytest.mark.parametrize("members, trivial", [
-        ((), True), ((0.0,), True), ((1e-6,), True), ((1e-3,), False), ((0.0, None), False)],
+        ((), True), ((0.0,), True), ((1e-6,), True), ((1e-3,), True), ((0.0, None), False)],
         ids=["empty", "identity", "miss-1e-6", "miss-1e-3", "identity-and-more"])
     def test_trivial_rule_on_constructed_bases(self, members, trivial):
-        # greedy's and exact's answer is trivial exactly when the basis holds
-        # nothing beyond the identity: it is empty, or its one member has
-        # identity coordinate at least 1 - 1e-8 (a miss of 1e-6 leaves
-        # 1 - 5e-13, one of 1e-3 leaves 1 - 5e-7); two members always combine
+        # greedy's and exact's answer is trivial exactly when the basis has
+        # fewer than two members: the identity is an exact member of every
+        # near-null space, so a lone member that misses it, by 1e-6 or by
+        # 1e-3, misses it by kernel error alone; two members always combine
         a = generate_model(Partition((1, 2)), 4, np.inf, 0).a
         basis = self._hand_basis(members)
         solution, trace = _combination_solve(a, basis, SolverConfig())
@@ -157,6 +166,15 @@ class TestGreedySolve:
         if trivial:
             assert solution.no_split and solution.cost == 0.0
             assert np.array_equal(solution.w, np.eye(3))
+
+    @pytest.mark.parametrize("members", _HAND_BASES.values(), ids=_HAND_BASES.keys())
+    def test_trivial_rule_matches_split(self, members):
+        # greedy and exact answer trivially exactly where the split finds no
+        # trace-free direction
+        a = generate_model(Partition((1, 2)), 4, np.inf, 0).a
+        basis = self._hand_basis(members)
+        _, trace = _combination_solve(a, basis, SolverConfig())
+        assert (trace.z is None) is (len(basis_excluding_identity(basis)) == 0)
 
 
 class TestOneStepSplit:
