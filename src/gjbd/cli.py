@@ -477,9 +477,12 @@ def build_parser():
     return parser
 
 
+# built once: each parse fills a fresh namespace, so calls share no state
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (InputError, ValueError, NumericalError) as exc:

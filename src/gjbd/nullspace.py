@@ -4,8 +4,17 @@ The equations stack into one operator ``K``: the ``m*n*n x n*n`` matrix
 of the linear map ``vec(Z) -> stack_i vec(A_i Z - Z.T A_i)`` (column-major
 vec), whose small singular directions span the near-null space.
 ``tests/oracles.py`` forms ``K`` densely as the reference the tests compare
-against.  The solvers never form ``K``.  They assemble its Gram matrix
-``G = K.T K`` from the structure of the ``A_i`` in ``O(m n**4)`` and
+against.
+
+For ``n <= 2``, ``K`` is at most ``4m x 4`` and the solvers take its thin
+SVD, which costs less than the fixed cost of the route below, some twenty
+LAPACK and numpy calls.  The dense SVD is also cheaper at ``n = 3`` and
+``4``, but its basis differs from the route's by rounding, and on
+near-defective sets that the route answers, greedy then meets clusters it
+cannot decouple; so the dense route stops at ``n = 2``.
+
+From ``n = 3`` on the solvers never form ``K``.  They assemble its Gram
+matrix ``G = K.T K`` from the structure of the ``A_i`` in ``O(m n**4)`` and
 reduce it in place to tridiagonal form ``T = Q.T G Q`` once.  Bisection on
 ``T`` gives only the few eigenvalues of ``G`` that are read: the largest,
 the lowest, which choose a window, and the first above the window.  Only
@@ -78,7 +87,9 @@ class NullSpaceBasis:
         ``k`` values, which cover every value up to twice ``delta``, come
         from the Rayleigh-Ritz SVD at the precision of a dense SVD of ``K``.
         When the window is the whole space, ``sigma`` holds all ``n*n``
-        values from the Rayleigh-Ritz SVD.  Index it from its ends only.
+        values from the Rayleigh-Ritz SVD; for ``n <= 2`` it always holds
+        all ``n*n`` values, from the thin SVD of the dense ``K``.  Index it
+        from its ends only.
     basis : list of ndarray
         Matrices reshaped from the right singular directions with singular
         value below ``delta``, smallest singular value first.
@@ -107,6 +118,10 @@ def exact_rank_tolerance(a, sigma_max):
 # the rounding of forming G = K.T K, whose error is about eps * sigma_max**2
 # per entry; singular values there are taken from the Rayleigh-Ritz step.
 _GRAM_RESOLUTION = 1e2
+
+# Up to this order _near_null_svd takes the thin SVD of the dense K, at
+# most 4m x 4 (see the module docstring for why not beyond).
+_DENSE_MAX_ORDER = 2
 
 # The corrected step of _near_null_svd applies the inverse of T off the
 # window as a sum of solves with T + shift * I, shift = _STEP_SHIFT *
@@ -233,14 +248,22 @@ def _apply_q(reflectors, tau, x, trans="N"):
 def _near_null_svd(a, threshold):
     """The largest and the smallest singular values of ``K`` and the right
     singular vectors of the smallest ones, as the thin SVD of the dense
-    ``K`` (``tests/oracles.py``) gives them, without forming ``K``.
+    ``K`` (``tests/oracles.py``) gives them, without forming ``K`` from
+    ``n = 3`` on.
 
-    ``G = K.T K`` is reduced in place to tridiagonal form ``T = Q.T G Q``
-    once (blocked ``dsytrd``).  Bisection (``dstebz``) on ``T`` gives only
-    the eigenvalues read: the largest and the two lowest, which estimate the
-    caller's threshold, those of the window, and the first above the
-    window.  The window holds the ``k``
-    lowest eigenvectors, at least two, enough to hold every root at or
+    For ``n <= 2`` it is that thin SVD: ``K``, at most ``4m x 4``, is formed
+    by applying it to the identity, and all ``n*n`` values and rows are
+    returned, as below when the window is the whole space.  The dense SVD
+    would be cheaper at ``n = 3`` and ``4`` too, but its rounding differs
+    from the route below, and there it turned near-defective sets that
+    greedy answers into ``InseparableClustersError``.
+
+    From ``n = 3`` on, ``G = K.T K`` is reduced in place to tridiagonal
+    form ``T = Q.T G Q`` once (blocked ``dsytrd``).  Bisection (``dstebz``)
+    on ``T`` gives only the eigenvalues read: the largest and the two
+    lowest, which estimate the caller's threshold, those of the window, and
+    the first above the window.  The window holds the ``k`` lowest
+    eigenvectors, at least two, enough to hold every root at or
     below ``_GRAM_RESOLUTION * n * sqrt(eps) * sigma_max`` and every root at
     or below twice the estimated threshold.  Only these ``k`` vectors ``Y``
     of ``T`` are computed, by inverse iteration (``dstein``).
@@ -290,10 +313,10 @@ def _near_null_svd(a, threshold):
         If a LAPACK routine reports a failure.
     """
     n2 = a.n * a.n
-    if n2 == 1:
-        # a scalar commutes with its transpose: K vanishes (and dsytrd
-        # rejects a 1 x 1 matrix)
-        return np.zeros(1), np.ones((1, 1))
+    if a.n <= _DENSE_MAX_ORDER:
+        # K is at most 4m x 4; LAPACK's SVD scales it into range itself
+        _, sigma, vt = np.linalg.svd(_apply_k(a, np.eye(n2)), full_matrices=False)
+        return sigma, vt
     a, exponent = _unit_scaled(a)
     g = _gram(a)
     (lwork,) = _lapack("dsytrd_lwork", n2, lower=1)

@@ -20,9 +20,10 @@ solve raised.
 
 ``compare`` counts the answers whose ordered partition changed and those
 whose block multiset changed, lists the latter, and gives per method the
-largest change of the performance index among answers with the same
-partition.  It reads only the two files, and like ``cmp`` it exits 1 when
-any ordered partition, error or ``W`` hash differs, else 0.
+number of answers with the same partition whose ``W`` is byte-identical
+and the largest change of the performance index among them.  It reads
+only the two files, and like ``cmp`` it exits 1 when any ordered
+partition, error or ``W`` hash differs, else 0.
 The file name keeps pytest from collecting it.
 """
 
@@ -123,7 +124,8 @@ def compare(before_path, after_path):
         after = {key(r): r for r in json.load(f)["answers"]}
     if before.keys() != after.keys():
         raise SystemExit("error: the two files hold different parity sets")
-    ordered, multiset, same_w, changed_w, pi_moves = [], [], 0, 0, {}
+    ordered, multiset, pi_moves = [], [], {}
+    same_w, kept = Counter(), Counter()  # per method: identical W, same partition
     for k, old in before.items():
         new = after[k]
         got = (old.get("partition", old.get("error")), new.get("partition", new.get("error")))
@@ -136,19 +138,19 @@ def compare(before_path, after_path):
             if old["pi"] is not None:
                 moves = pi_moves.setdefault(k[0], [])
                 moves.append(abs(new["pi"] - old["pi"]))
-            if old["w_sha256"] == new["w_sha256"]:
-                same_w += 1
-            else:
-                changed_w += 1
+            kept[k[0]] += 1
+            same_w[k[0]] += old["w_sha256"] == new["w_sha256"]
     print(f"{len(before)} answers: {len(ordered)} ordered partitions changed, "
-          f"{len(multiset)} block multisets changed, {same_w} W byte-identical")
+          f"{len(multiset)} block multisets changed, {sum(same_w.values())} W byte-identical")
     by_method = Counter(k[0] for k in ordered)
     print("ordered changes by method:", json.dumps(by_method, sort_keys=True))
     for line in multiset:
         print("multiset change:", line)
+    for method in sorted(kept):
+        print(f"{method}: {same_w[method]} of {kept[method]} W byte-identical")
     for method, moves in sorted(pi_moves.items()):
         print(f"{method}: largest |PI change| with the same partition {max(moves):.3g}")
-    return int(bool(ordered or changed_w))
+    return int(bool(ordered) or any(same_w[method] < kept[method] for method in kept))
 
 
 if __name__ == "__main__":

@@ -372,6 +372,18 @@ class TestCheck:
         assert json.loads(out.read_text()) == {"bounds": {"gap": None},
                                                "all_checks_passed": True}
 
+    def test_consecutive_calls_share_no_options(self, tmp_path):
+        # main parses with one parser built at import; an option of one
+        # call must not carry over to the next
+        inp = synth(tmp_path, "set.json", "2,3", 8, 40, 0)
+        reports = []
+        for extra in (["--bounds"], []):
+            out = tmp_path / "check.json"
+            assert run("check", inp, *extra, "--out", out) == EXIT_OK
+            reports.append(json.loads(out.read_text()))
+        assert "bounds" in reports[0]
+        assert reports[1] == {"all_checks_passed": True}
+
     def test_bounds_on_greedy_result(self, tmp_path):
         inp = synth(tmp_path, "set.json", "3,3,3", 20, 40, 8)
         res = tmp_path / "res.json"

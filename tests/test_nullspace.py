@@ -136,8 +136,9 @@ FUZZ_KINDS = ["skew", "symmetric", "general", "model"]
 FUZZ_SETS = 300
 
 
-def fuzz_set(rng, kind):
-    n = int(rng.integers(2, 9))
+def fuzz_set(rng, kind, orders=(2, 9)):
+    """A set of one ``kind``, of order drawn from ``range(*orders)``."""
+    n = int(rng.integers(*orders))
     m = int(rng.integers(1, 5))
     if kind == "model":
         sizes = []
@@ -180,6 +181,39 @@ def test_matches_dense_svd(kind):
 
 
 class TestNearNullSvd:
+    def test_order_one_is_the_zero_operator(self, monkeypatch):
+        # a scalar commutes with its transpose, so K vanishes: one zero
+        # value and the 1 x 1 identity, without a tridiagonal reduction
+        monkeypatch.setattr(nullspace.lapack, "dsytrd", None)
+        a = MatrixSet(np.array([[[2.0]], [[-1.5]]]))
+        sigma, vt = nullspace._near_null_svd(a, lambda s: 0.0)
+        assert np.array_equal(sigma, [0.0]) and np.array_equal(vt, [[1.0]])
+        for b in (delta_nullspace(a, 1.2), exact_nullspace(a)):
+            assert len(b.basis) == 1 and np.array_equal(b.basis[0], [[1.0]])
+
+    @pytest.mark.parametrize("kind", FUZZ_KINDS)
+    def test_order_two_is_the_dense_svd(self, monkeypatch, kind):
+        # order 2 takes the thin SVD of K itself: all four values and rows,
+        # the values to dense-SVD precision and every span that the dense
+        # SVD separates by a gap
+        monkeypatch.setattr(nullspace.lapack, "dsytrd", None)
+        rng = np.random.default_rng(60 + FUZZ_KINDS.index(kind))
+        checked = 0
+        for _ in range(50):
+            a = fuzz_set(rng, kind, orders=(2, 3))
+            _, dense, dense_vt = np.linalg.svd(build_stacked_operator(a))
+            sigma, vt = nullspace._near_null_svd(a, lambda s: 0.0)
+            assert sigma.shape == (4,) and vt.shape == (4, 4)
+            assert np.all(np.abs(sigma - dense) <= 1e-13 * dense[0])
+            for k in range(1, 4):
+                gap = dense[3 - k] - dense[4 - k]
+                if gap <= 1e-6 * dense[0]:
+                    continue
+                angles = scipy.linalg.subspace_angles(vt[4 - k:].T, dense_vt[4 - k:].T)
+                assert angles.max() <= 1e-13 * dense[0] / gap
+                checked += 1
+        assert checked >= 50
+
     @pytest.mark.parametrize("kind", FUZZ_KINDS)
     def test_window_spans_lowest_gram_eigenvectors(self, kind):
         # the bisection/dstein window, taken from the tridiagonal basis to
@@ -263,7 +297,9 @@ class TestNearNullSvd:
         monkeypatch.setattr(nullspace.lapack, "dsytrd", recording_dsytrd)
         monkeypatch.setattr(nullspace.lapack, "dstein", recording_window)
         calls = 0
-        for sizes, snr in [((3, 3, 3), 40.0), ((5, 5, 5, 5), 40.0), ((2, 2, 2), np.inf)]:
+        # order 3 is the smallest that the tridiagonal route takes
+        for sizes, snr in [((3, 3, 3), 40.0), ((5, 5, 5, 5), 40.0), ((2, 2, 2), np.inf),
+                           ((1, 2), 40.0)]:
             a = generate_model(Partition(sizes), 20, snr, 0).a
             delta_nullspace(a, 1.2)
             exact_nullspace(a)
@@ -401,12 +437,14 @@ class TestDeltaNullspace:
     @pytest.mark.parametrize("scale", [1e-160, 1e160])
     def test_extreme_scale(self, scale):
         # the null space of K ignores the scale of the A_i, but the squares
-        # in K.T K would underflow or overflow at these scales
-        inst = generate_model(Partition((2, 3)), m=4, snr=np.inf, seed=0)
-        a = MatrixSet(scale * inst.a.mats)
-        for b in (delta_nullspace(a, 1.2), exact_nullspace(a)):
-            assert b.dim == 2
-            assert spans_identity(b)
+        # in K.T K would underflow or overflow at these scales; at order 2,
+        # the dense SVD must be as scale-free
+        for sizes in [(2, 3), (1, 1)]:
+            inst = generate_model(Partition(sizes), m=4, snr=np.inf, seed=0)
+            a = MatrixSet(scale * inst.a.mats)
+            for b in (delta_nullspace(a, 1.2), exact_nullspace(a)):
+                assert b.dim == 2
+                assert spans_identity(b)
 
     def test_memory_stays_below_dense_operator(self):
         # the dense operator alone is 20 * 32**2 * 32**2 doubles, 168 MB

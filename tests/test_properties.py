@@ -1,17 +1,24 @@
-"""Invariance properties of the noisy solvers' block sizes, drawn with
-hypothesis: an orthogonal congruence, a scaling (by a power of two, exact
+"""Properties of the solvers, drawn with hypothesis.
+
+Invariance: an orthogonal congruence, a scaling (by a power of two, exact
 in floating point, or by 1e3) with epsilon scaled alike, and a reordering
 of the matrices leave greedy's multiset of block sizes and consv's ordered
-block sizes unchanged."""
+block sizes unchanged.
+
+Contract: on every drawn set, each solver returns a ``Solution`` that
+passes ``check_solution_invariants`` or raises a ``NumericalError``."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gjbd.datagen import generate_model, noise_level
+from gjbd.matkernels import NumericalError
 from gjbd.nullspace import MatrixSet
 from gjbd.partition import Partition
-from gjbd.solvers import SolverConfig, conservative_solve, greedy_solve
+from gjbd.solvers import SolverConfig, conservative_solve, exact_solve, greedy_solve
+from test_nullspace import FUZZ_KINDS, fuzz_set
+from test_solvers import check_solution_invariants
 
 _M = 20
 # derandomized with no example database: every run draws the same examples
@@ -70,3 +77,24 @@ def test_consv_block_sizes_invariant(sizes, snr, seed, k, order):
     # the order of consv's blocks is a function of the set too
     _check_invariant(lambda a, eps: conservative_solve(a, SolverConfig(epsilon=eps)),
                      sizes, snr, seed, k, order, tuple)
+
+
+_SOLVERS = (
+    lambda a, seed: greedy_solve(a, SolverConfig(seed=seed)),
+    lambda a, seed: conservative_solve(a, SolverConfig(epsilon=1e-6)),
+    exact_solve,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(kind=st.sampled_from(FUZZ_KINDS), seed=_SEEDS)
+def test_every_set_gets_a_solution_or_a_numerical_error(kind, seed):
+    # fuzz sets of order 1 to 5 and 1 to 4 matrices; an error must be one
+    # the solvers document, never a wrong-shaped or inconsistent answer
+    a = fuzz_set(np.random.default_rng(seed), kind, orders=(1, 6))
+    for solve in _SOLVERS:
+        try:
+            solution = solve(a, seed)
+        except NumericalError:
+            continue
+        check_solution_invariants(a, solution)
