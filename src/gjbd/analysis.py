@@ -87,24 +87,61 @@ def cost_ls(a, p, w):
     return float(np.sum((w.T @ a.mats @ w)[:, ~p.mask] ** 2))
 
 
+def _size_classes(p):
+    # {block size: ids of the blocks of p of that size}
+    ids_by_size = {}
+    for j, size in enumerate(p.sizes):
+        ids_by_size.setdefault(size, []).append(j)
+    return ids_by_size
+
+
+def _stacked(m, slices, ids):
+    # the blocks ids, all of one size, of the columns of m as one stack
+    # (count, n, size); a single block as a view, which np.stack would copy
+    if len(ids) == 1:
+        return m[:, slices[ids[0]]][None]
+    return np.stack([m[:, slices[j]] for j in ids])
+
+
+def _bases_by_size(m, p, slices):
+    # {block size: (block ids, stack (count, n, size) of their orthonormal
+    # bases)}, one LAPACK call per size
+    return {size: (ids, _orthonormal_basis(_stacked(m, slices, ids)))
+            for size, ids in _size_classes(p).items()}
+
+
 def normalize(w, p):
     """Orthonormalize each block of columns of ``w`` (economic QR), so the
     block diagonal of ``out.T @ out`` is the identity while every block's
     column space is unchanged.
 
+    The blocks of one size are factorized by one stacked call to
+    :func:`gjbd.matkernels.economic_qr`, which gives each the bits of its
+    own 2-D call.
+
     Raises
     ------
     ValueError
         When ``w`` is not 2-D or ``p`` is not of the order of its columns.
+    DegenerateBlockBasisError
+        When a block of columns is numerically rank deficient.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or p.n != w.shape[1]:
         raise ValueError(f"partition of order {p.n} does not match the columns of w "
                          f"of shape {w.shape}")
     out = np.empty_like(w)
-    for sl in p.slices():
-        u, _ = economic_qr(w[:, sl])
-        out[:, sl] = u
+    slices = p.slices()
+    for ids in _size_classes(p).values():
+        if len(ids) == 1:
+            # the 2-D call costs less than a stack of one
+            sl = slices[ids[0]]
+            u, _ = economic_qr(w[:, sl])
+            out[:, sl] = u
+            continue
+        u, _ = economic_qr(_stacked(w, slices, ids))
+        for j, u_j in zip(ids, u):
+            out[:, slices[j]] = u_j
     return out
 
 
@@ -124,9 +161,13 @@ def performance_index(v_inv, w, p_true, p_hat):
     result is exact while the search stays within its node budget; past the
     budget it is the best grouping found, hence an upper bound.
 
-    Each true block is orthonormalized once per call, and each group once
-    when first scored; a group's angle comes from those two bases by the
-    same routine as :func:`largest_principal_angle`, so both give the same
+    Every true and every recovered block is orthonormalized up front, by one
+    stacked call per block size, and every one-block group's angle is taken
+    before the search, by one stacked call per pair of sizes.  A group of
+    several blocks is orthonormalized once when first scored, whatever true
+    block it is scored against.  Each angle comes from two bases by the
+    same routine as :func:`largest_principal_angle`, and a stacked call
+    gives each member the bits of its own 2-D call, so both give the same
     value on the same columns.
 
     Parameters
@@ -142,6 +183,14 @@ def performance_index(v_inv, w, p_true, p_hat):
     float or None
         None when ``p_hat`` is not a correct refinement of ``p_true`` (past
         the budget, also when no complete grouping was reached).
+
+    Raises
+    ------
+    ValueError
+        When the shapes of ``v_inv``, ``w`` and ``p_true`` disagree; when a
+        block of ``v_inv`` or ``w`` is numerically rank deficient, whatever
+        the search reaches; and when a group of several recovered blocks
+        that the search scores spans fewer dimensions than it has columns.
     """
     v_inv = np.asarray(v_inv, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -149,15 +198,28 @@ def performance_index(v_inv, w, p_true, p_hat):
         raise ValueError("dimension mismatch between v_inv, w and partitions")
     if p_hat.n != p_true.n:
         return None
-    true_bases = [_orthonormal_basis(v_inv[:, sl]) for sl in p_true.slices()]
     hat_slices = p_hat.slices()
+    true_bases = _bases_by_size(v_inv, p_true, p_true.slices())
+    hat_bases = _bases_by_size(w, p_hat, hat_slices)
+    true_basis = {k: u_k for ids, u in true_bases.values() for k, u_k in zip(ids, u)}
     angle_cache = {}
+    for size, (true_ids, u_true) in true_bases.items():
+        for hat_size, (hat_ids, u_hat) in hat_bases.items():
+            if hat_size <= size:
+                angles = _largest_angle(u_true[:, None], u_hat[None]).tolist()
+                angle_cache.update(((k, (j,)), angle)
+                                   for k, row in zip(true_ids, angles)
+                                   for j, angle in zip(hat_ids, row))
+    group_bases = {}
 
     def group_angle(k, block_ids):
         key = (k, tuple(sorted(block_ids)))
         if key not in angle_cache:
-            cols = np.hstack([w[:, hat_slices[j]] for j in key[1]])
-            angle_cache[key] = _largest_angle(true_bases[k], _orthonormal_basis(cols))
+            ids = key[1]
+            if ids not in group_bases:
+                cols = np.hstack([w[:, hat_slices[j]] for j in ids])
+                group_bases[ids] = _orthonormal_basis(cols)
+            angle_cache[key] = float(_largest_angle(true_basis[k], group_bases[ids]))
         return angle_cache[key]
 
     order = sorted(range(p_hat.card), key=lambda j: -p_hat.sizes[j])
@@ -335,7 +397,9 @@ def verify_imag_bound(a, z, delta):
     for idx in range(evals.size):
         lam = evals[idx]
         x = evecs[:, idx]
-        denom = float(sum(abs(np.vdot(x, mat @ x)) ** 2 for mat in a.mats))
+        # one stacked product per eigenvector; a product over all of them at
+        # once would sum in another order
+        denom = float(sum(abs(np.vdot(x, ax)) ** 2 for ax in a.mats @ x))
         lhs = float(abs(lam - np.conj(lam)))
         components = {
             "eigenvalue": complex(lam),

@@ -192,42 +192,50 @@ def block_diagonalize_similarity(schur, boundaries):
 def economic_qr(a):
     """Economic QR factorization ``a = u @ r`` with ``u`` column-orthonormal.
 
+    A stack of matrices is factorized by one LAPACK call, which runs the
+    same routine on each member, so every member's factors equal those of
+    the 2-D call on it bit for bit.
+
     Parameters
     ----------
-    a : ndarray, shape (n, k), k <= n
+    a : ndarray, shape (n, k) or (..., n, k), k <= n
 
     Returns
     -------
-    u : ndarray, shape (n, k)
-    r : ndarray, shape (k, k)
+    u : ndarray, shape (..., n, k)
+    r : ndarray, shape (..., k, k)
 
     Raises
     ------
     DegenerateBlockBasisError
-        If ``a`` is numerically rank deficient.
+        If ``a``, or a member of the stack, is numerically rank deficient.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[1] > a.shape[0]:
-        raise ValueError("a must be n-by-k with k <= n")
+    if a.ndim < 2 or a.shape[-1] > a.shape[-2]:
+        raise ValueError("a must be n-by-k with k <= n, or a stack of such")
     u, r = np.linalg.qr(a, mode="reduced")
-    diag = np.abs(np.diag(r))
-    tol = max(a.shape) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-    if diag.size and diag.min() <= tol:
-        raise DegenerateBlockBasisError(
-            f"column block of shape {a.shape} is numerically rank deficient"
-        )
+    if a.shape[-1]:
+        diag = np.abs(r.diagonal(0, -2, -1))
+        tol = max(a.shape[-2:]) * np.finfo(float).eps * diag.max(-1)
+        if (diag.min(-1) <= tol).any():
+            raise DegenerateBlockBasisError(
+                f"column block of shape {a.shape[-2:]} is numerically rank deficient"
+            )
     return u, r
 
 
 def _orthonormal_basis(a):
+    # orthonormal basis of the column space of a full-rank matrix, or of
+    # each member of a stack (..., n, k) by one LAPACK call
     a = np.atleast_2d(np.asarray(a, dtype=float))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+    if s.shape[-1] == 0 or (s[..., 0] == 0.0).any():
         raise ValueError("subspace basis is zero")
-    rank = int(np.sum(s > max(a.shape) * np.finfo(float).eps * s[0]))
-    if rank < a.shape[1]:
+    # the singular values come sorted, so the last decides the rank
+    tol = max(a.shape[-2:]) * np.finfo(float).eps * s[..., 0]
+    if a.shape[-1] > a.shape[-2] or not (s[..., -1] > tol).all():
         raise ValueError("subspace basis is rank deficient")
-    return u[:, :rank]
+    return u
 
 
 def largest_principal_angle(e, f):
@@ -247,20 +255,33 @@ def largest_principal_angle(e, f):
     float
         Angle in [0, pi/2].
     """
-    return _largest_angle(_orthonormal_basis(e), _orthonormal_basis(f))
+    return float(_largest_angle(_orthonormal_basis(e), _orthonormal_basis(f)))
 
 
 def _largest_angle(ue, uf):
     # largest principal angle between two orthonormal bases (Bjorck & Golub
     # 1973): the smallest cosine, or the sine from the residual of projecting
-    # the narrower basis, which stays accurate where the cosine does not
-    if ue.shape[1] < uf.shape[1]:
+    # the narrower basis, which stays accurate where the cosine does not.
+    # Stacks (..., n, p) and (..., n, q) broadcast against each other and
+    # give an array of angles, by one LAPACK call per step; each member takes
+    # the same routines as the 2-D call, so the same bits
+    if ue.shape[-1] < uf.shape[-1]:
         ue, uf = uf, ue
-    cross = ue.T @ uf
-    cos = np.linalg.svd(cross, compute_uv=False)[-1]
-    if cos * cos < 0.5:
-        return float(np.arccos(min(cos, 1.0)))
-    return float(np.arcsin(min(np.linalg.norm(uf - ue @ cross, 2), 1.0)))
+    cross = ue.swapaxes(-1, -2) @ uf
+    cos = np.linalg.svd(cross, compute_uv=False)[..., -1]
+    near = cos * cos >= 0.5  # where the sine decides; only there the residual SVD
+    if near.ndim == 0:  # one pair
+        if not near:
+            return np.arccos(min(cos, 1.0))
+        return np.arcsin(min(np.linalg.svd(uf - ue @ cross, compute_uv=False)[0], 1.0))
+    angle = np.arccos(np.minimum(cos, 1.0))
+    if near.any():
+        shape = near.shape
+        ue_near = np.broadcast_to(ue, shape + ue.shape[-2:])[near]
+        uf_near = np.broadcast_to(uf, shape + uf.shape[-2:])[near]
+        sin = np.linalg.svd(uf_near - ue_near @ cross[near], compute_uv=False)[:, 0]
+        angle[near] = np.arcsin(np.minimum(sin, 1.0))
+    return angle
 
 
 def _sep_stacked(g_j, g_k):

@@ -2,6 +2,7 @@
 clustering of the eigenvalue real parts of an ordered Schur form, and the
 test that a computed partition has the block sizes of a reference one."""
 
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -45,8 +46,8 @@ class Partition:
 
     def slices(self):
         """Column/row slice of each block."""
-        edges = [0] + list(np.cumsum(self.sizes))
-        return [slice(edges[j], edges[j + 1]) for j in range(self.card)]
+        edges = [0, *itertools.accumulate(self.sizes)]
+        return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
 
     @property
     def mask(self):

@@ -20,8 +20,9 @@ solve raised.
 
 ``compare`` counts the answers whose ordered partition changed and those
 whose block multiset changed, lists the latter, and gives per method the
-number of answers with the same partition whose ``W`` is byte-identical
-and the largest change of the performance index among them.  It reads
+number of answers with the same partition whose ``W`` is byte-identical,
+the number whose performance index is bit-identical (two nulls count as
+equal) and the largest change of the performance index among them.  It reads
 only the two files, and like ``cmp`` it exits 1 when any ordered
 partition, error or ``W`` hash differs, else 0.
 The file name keeps pytest from collecting it.
@@ -125,7 +126,8 @@ def compare(before_path, after_path):
     if before.keys() != after.keys():
         raise SystemExit("error: the two files hold different parity sets")
     ordered, multiset, pi_moves = [], [], {}
-    same_w, kept = Counter(), Counter()  # per method: identical W, same partition
+    # per method: identical W, identical PI, same partition
+    same_w, same_pi, kept = Counter(), Counter(), Counter()
     for k, old in before.items():
         new = after[k]
         got = (old.get("partition", old.get("error")), new.get("partition", new.get("error")))
@@ -140,6 +142,8 @@ def compare(before_path, after_path):
                 moves.append(abs(new["pi"] - old["pi"]))
             kept[k[0]] += 1
             same_w[k[0]] += old["w_sha256"] == new["w_sha256"]
+            # JSON keeps a float's shortest repr, so == compares its bits
+            same_pi[k[0]] += old["pi"] == new["pi"]
     print(f"{len(before)} answers: {len(ordered)} ordered partitions changed, "
           f"{len(multiset)} block multisets changed, {sum(same_w.values())} W byte-identical")
     by_method = Counter(k[0] for k in ordered)
@@ -147,7 +151,8 @@ def compare(before_path, after_path):
     for line in multiset:
         print("multiset change:", line)
     for method in sorted(kept):
-        print(f"{method}: {same_w[method]} of {kept[method]} W byte-identical")
+        print(f"{method}: {same_w[method]} of {kept[method]} W byte-identical, "
+              f"{same_pi[method]} of {kept[method]} PI bit-identical")
     for method, moves in sorted(pi_moves.items()):
         print(f"{method}: largest |PI change| with the same partition {max(moves):.3g}")
     return int(bool(ordered) or any(same_w[method] < kept[method] for method in kept))

@@ -220,25 +220,41 @@ class TestPerformanceIndex:
             performance_index(np.eye(3), np.eye(4), Partition((3,)), Partition((4,)))
 
     def test_one_basis_per_true_block(self, monkeypatch):
-        # each true block is orthonormalized once, up front, and each scored
-        # group once; no angle goes through scipy's subspace_angles
-        p_true = Partition((2,) * 8)
-        inst = generate_model(p_true, m=4, snr=np.inf, seed=3)
-        v_inv = inst.v_inv()
-        sol = exact_solve(inst.a, seed=3)
-        assert sol.partition.card == p_true.card
-        inputs, outputs, keys = [], [], []
+        # each true and each recovered block is orthonormalized once, up
+        # front, and each scored group once; each (true block, group) angle
+        # is taken once; no angle goes through scipy's subspace_angles.  The
+        # kernels take stacks, so the matrices of each call are counted.  An
+        # exact answer scores one-block groups only; consv's over-split
+        # answer of test_past_node_budget_is_upper_bound also scores groups
+        # of several blocks, each against several true blocks
+        exact = generate_model(Partition((2,) * 8), m=4, snr=np.inf, seed=3)
+        over_split = generate_model(Partition((3, 3, 3)), m=20, snr=20, seed=2)
+        n = 9
+        consv = conservative_solve(over_split.a, SolverConfig(epsilon=3 * n * n * 10 ** (-20 / 20)))
+        assert consv.partition.sizes == (1, 1, 1, 2, 1, 1, 1, 1)
         orthonormal_basis = gjbd.analysis._orthonormal_basis
         largest_angle = gjbd.analysis._largest_angle
 
+        def members(a, batch=None):
+            # the matrices of a stack, broadcast to the batch shape
+            a = np.asarray(a)
+            batch = a.shape[:-2] if batch is None else batch
+            return list(np.broadcast_to(a, batch + a.shape[-2:]).reshape((-1,) + a.shape[-2:]))
+
         def counted_basis(a):
-            inputs.append(np.array(a))
-            outputs.append(orthonormal_basis(a))
-            return outputs[-1]
+            calls.append("basis")
+            u = orthonormal_basis(a)
+            inputs.extend(members(a))
+            outputs.extend(members(u))
+            return u
 
         def counted_angle(ue, uf):
-            true_block = next(k for k, u in enumerate(outputs[:p_true.card]) if u is ue)
-            keys.append((true_block, uf.tobytes()))
+            calls.append("angle")
+            batch = np.broadcast_shapes(ue.shape[:-2], uf.shape[:-2])
+            true_bases = outputs[:p_true.card]
+            for e, f in zip(members(ue, batch), members(uf, batch)):
+                true_block = next(k for k, u in enumerate(true_bases) if np.array_equal(u, e))
+                keys.append((true_block, f.tobytes()))
             return largest_angle(ue, uf)
 
         def forbidden(*args, **kwargs):
@@ -247,12 +263,27 @@ class TestPerformanceIndex:
         monkeypatch.setattr(gjbd.analysis, "_orthonormal_basis", counted_basis)
         monkeypatch.setattr(gjbd.analysis, "_largest_angle", counted_angle)
         monkeypatch.setattr(scipy.linalg, "subspace_angles", forbidden)
-        assert performance_index(v_inv, sol.w, p_true, sol.partition) <= 1e-8
-        for a, sl in zip(inputs, p_true.slices()):
-            assert np.array_equal(a, v_inv[:, sl])
-        # one basis per true block, then one per distinct (block, group) key
-        assert len(set(keys)) == len(keys) > 0
-        assert len(inputs) == p_true.card + len(keys)
+        for inst, sol in [(exact, exact_solve(exact.a, seed=3)), (over_split, consv)]:
+            inputs, outputs, keys, calls = [], [], [], []
+            p_true, v_inv = inst.p_true, inst.v_inv()
+            pi = performance_index(v_inv, sol.w, p_true, sol.partition)
+            blocks = [v_inv[:, sl] for sl in p_true.slices()]
+            blocks += [sol.w[:, sl] for sl in sol.partition.slices()]
+            # every block first, the true ones in order (their sizes are equal)
+            assert all(np.array_equal(a, b) for a, b in zip(inputs, blocks[:p_true.card]))
+            assert {a.tobytes() for a in inputs[:len(blocks)]} == {b.tobytes() for b in blocks}
+            # no block or group twice, no (true block, group) key twice, and
+            # every group scored is one that was orthonormalized
+            assert len({a.tobytes() for a in inputs}) == len(inputs) >= len(blocks)
+            assert len(set(keys)) == len(keys) > 0
+            assert {f for _, f in keys} <= {u.tobytes() for u in outputs}
+            if sol.partition.card == p_true.card:
+                # equal blocks: one stacked call per side, one for the angles
+                assert pi <= 1e-8
+                assert calls == ["basis", "basis", "angle"]
+            else:
+                assert pi is not None
+                assert len(inputs) > len(blocks)  # groups of several blocks
 
     def test_huge_grouping_count_stays_bounded(self):
         # all-singleton refinement of four equal groups: enumeration must not
@@ -283,13 +314,27 @@ class TestPerformanceIndex:
         monkeypatch.setattr(gjbd.analysis, "_PI_NODE_BUDGET", 1)
         assert performance_index(*args) is None
 
+    def test_rank_deficient_block_raises_within_budget(self, monkeypatch):
+        # every block is orthonormalized before the search, so a zero column
+        # in a small recovered block raises even where a budget of one node
+        # stops the search before it reaches that block
+        rng = np.random.default_rng(16)
+        p_true, p_hat = Partition((2, 3)), Partition((3, 1, 1))
+        v_inv = rng.standard_normal((5, 5))
+        w = rng.standard_normal((5, 5))
+        w[:, 3] = 0.0
+        monkeypatch.setattr(gjbd.analysis, "_PI_NODE_BUDGET", 1)
+        with pytest.raises(ValueError, match="rank deficient|zero"):
+            performance_index(v_inv, w, p_true, p_hat)
+
     @pytest.mark.parametrize("true_sizes, pieces, noise", [
         ((2,) * 8, [(2,)] * 8, 1e-3),
         ((2,) * 8, [(2,)] * 8, 3.0),
         ((3, 3, 3), [(1, 1, 1), (2, 1), (3,)], 1e-2),
         ((1, 2, 3, 4), [(1,), (2,), (3,), (4,)], 1e-6),
+        ((2, 2, 2, 2), [(1, 1), (2,), (1, 1), (2,)], 1e-2),
         ((1, 2, 3), None, None),
-    ], ids=["pairs-near", "pairs-far", "over-split", "permuted", "random-w"])
+    ], ids=["pairs-near", "pairs-far", "over-split", "permuted", "repeated-sizes", "random-w"])
     def test_search_matches_full_scan(self, true_sizes, pieces, noise):
         rng = np.random.default_rng(15)
         p_true = Partition(true_sizes)

@@ -221,11 +221,23 @@ class TestEconomicQR:
         u, r = economic_qr(a)
         assert np.linalg.norm(u.T @ u - np.eye(2)) <= 1e-12
         assert np.linalg.norm(u @ r - a) <= 1e-12 * np.linalg.norm(a)
+        # a stack takes one call whose members equal the 2-D calls bit for bit
+        stack = rng.standard_normal((3, 6, 3))
+        u, r = economic_qr(stack)
+        assert u.shape == (3, 6, 3) and r.shape == (3, 3, 3)
+        for b, member in enumerate(stack):
+            u_b, r_b = economic_qr(member)
+            assert np.array_equal(u[b], u_b) and np.array_equal(r[b], r_b)
 
     def test_rank_deficiency_detected(self):
         a = np.ones((4, 2))
         with pytest.raises(DegenerateBlockBasisError):
             economic_qr(a)
+        # one rank-deficient member fails the whole stack
+        stack = np.random.default_rng(6).standard_normal((3, 4, 2))
+        stack[1] = a
+        with pytest.raises(DegenerateBlockBasisError):
+            economic_qr(stack)
 
 
 class TestLargestPrincipalAngle:

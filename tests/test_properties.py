@@ -6,7 +6,9 @@ of the matrices leave greedy's multiset of block sizes and consv's ordered
 block sizes unchanged.
 
 Contract: on every drawn set, each solver returns a ``Solution`` that
-passes ``check_solution_invariants`` or raises a ``NumericalError``."""
+passes ``check_solution_invariants`` or raises a ``NumericalError``; the
+two-block split returns such a ``Solution`` with two blocks or raises an
+``UnsplittableError`` or a ``NumericalError``."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -16,7 +18,14 @@ from gjbd.datagen import generate_model, noise_level
 from gjbd.matkernels import NumericalError
 from gjbd.nullspace import MatrixSet
 from gjbd.partition import Partition
-from gjbd.solvers import SolverConfig, conservative_solve, exact_solve, greedy_solve
+from gjbd.solvers import (
+    SolverConfig,
+    UnsplittableError,
+    conservative_solve,
+    exact_solve,
+    greedy_solve,
+    one_step_split,
+)
 from test_nullspace import FUZZ_KINDS, fuzz_set
 from test_solvers import check_solution_invariants
 
@@ -98,3 +107,9 @@ def test_every_set_gets_a_solution_or_a_numerical_error(kind, seed):
         except NumericalError:
             continue
         check_solution_invariants(a, solution)
+    try:
+        split = one_step_split(a)
+    except (UnsplittableError, NumericalError):
+        return
+    assert split.partition.card == 2
+    check_solution_invariants(a, split)
