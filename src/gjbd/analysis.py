@@ -166,9 +166,9 @@ def performance_index(v_inv, w, p_true, p_hat):
     before the search, by one stacked call per pair of sizes.  A group of
     several blocks is orthonormalized once when first scored, whatever true
     block it is scored against.  Each angle comes from two bases by the
-    same routine as :func:`largest_principal_angle`, and a stacked call
-    gives each member the bits of its own 2-D call, so both give the same
-    value on the same columns.
+    same routine as :func:`largest_principal_angle`, which takes one pair
+    as a stack of one, and a stacked call gives each member the bits of a
+    stack of one, so both give the same value on the same columns.
 
     Parameters
     ----------
@@ -219,7 +219,8 @@ def performance_index(v_inv, w, p_true, p_hat):
             if ids not in group_bases:
                 cols = np.hstack([w[:, hat_slices[j]] for j in ids])
                 group_bases[ids] = _orthonormal_basis(cols)
-            angle_cache[key] = float(_largest_angle(true_basis[k], group_bases[ids]))
+            angles = _largest_angle(true_basis[k][None], group_bases[ids][None])
+            angle_cache[key] = float(angles[0])
         return angle_cache[key]
 
     order = sorted(range(p_hat.card), key=lambda j: -p_hat.sizes[j])

@@ -226,30 +226,6 @@ def cmd_synth(args):
     return EXIT_OK
 
 
-def _bench_trial(p, m, snr, base_seed, trial, methods, timing):
-    inst = generate_model(p, m, snr, base_seed + trial)
-    a = inst.a
-    rows = []
-    for method in methods:
-        eps = _snr_epsilon(snr, a.n, a.total_sq_norm()) if method == "consv" else 0.0
-        cfg = SolverConfig(epsilon=eps, seed=(base_seed + trial, 1))
-        start = time.perf_counter()
-        solution, _ = _solve_with(method, a, cfg)
-        elapsed_ms = (time.perf_counter() - start) * 1e3 if timing else 0.0
-        score = _score(inst.v_inv(), p, solution)
-        rows.append({
-            "snr": snr,
-            "trial": trial,
-            "method": method,
-            "card": solution.partition.card,
-            "correct": int(score["correct"]),
-            "pi": score["pi"],
-            "cost": solution.cost,
-            "runtime_ms": elapsed_ms,
-        })
-    return rows
-
-
 def _fmt_float(x):
     return repr(float(x))  # builtin repr: shortest lossless decimal, nan, inf
 
@@ -266,26 +242,33 @@ def cmd_bench(args):
     if args.trials < 1:
         raise InputError(f"--trials must be at least 1, got {args.trials}")
     snrs = [_parse_snr(tok) for tok in args.snrs.split(",")]
+    for i, snr in enumerate(snrs):
+        if snr in snrs[:i]:
+            raise InputError(f"SNR {snr:g} appears more than once in --snrs")
     methods = [tok.strip() for tok in args.methods.split(",")]
     for method in methods:
         if method not in _METHODS:
             raise InputError(f"unknown method {method!r}")
 
-    rows = [row for snr in snrs for trial in range(args.trials)
-            for row in _bench_trial(p, m, snr, args.seed, trial, methods, args.timing)]
-    rows.sort(key=lambda r: (snrs.index(r["snr"]), r["trial"], r["method"]))
+    # rows in output order: the --snrs order, then the trial, then the method name
     lines = ["snr,trial,method,card,correct,pi,cost,runtime_ms"]
-    for r in rows:
-        lines.append(",".join([
-            f"{r['snr']:g}",
-            str(r["trial"]),
-            r["method"],
-            str(r["card"]),
-            str(r["correct"]),
-            _fmt_float(r["pi"]),
-            _fmt_float(r["cost"]),
-            _fmt_float(r["runtime_ms"]),
-        ]))
+    for snr in snrs:
+        for trial in range(args.trials):
+            inst = generate_model(p, m, snr, args.seed + trial)
+            a = inst.a
+            for method in sorted(methods):
+                eps = (_snr_epsilon(snr, a.n, a.total_sq_norm()) if method == "consv"
+                       else SolverConfig.epsilon)
+                cfg = SolverConfig(epsilon=eps, seed=(args.seed + trial, 1))
+                start = time.perf_counter()
+                solution, _ = _solve_with(method, a, cfg)
+                elapsed_ms = (time.perf_counter() - start) * 1e3 if args.timing else 0.0
+                score = _score(inst.v_inv(), p, solution)
+                lines.append(",".join([
+                    f"{snr:g}", str(trial), method, str(solution.partition.card),
+                    str(int(score["correct"])), _fmt_float(score["pi"]),
+                    _fmt_float(solution.cost), _fmt_float(elapsed_ms),
+                ]))
     _write_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -329,17 +312,19 @@ def _load_parameters(params, path):
     """
     if not isinstance(params, dict):
         raise InputError(f"{path}: parameters must be an object")
-    gamma, mu, epsilon = params.get("gamma", 1.2), params.get("mu"), params.get("epsilon")
-    seed = params.get("seed", 0)
+    gamma = params.get("gamma", SolverConfig.gamma)
+    seed = params.get("seed", SolverConfig.seed)
+    # a missing or null mu or epsilon takes SolverConfig's default
+    given = {key: params[key] for key in ("mu", "epsilon") if params.get(key) is not None}
     if not _is_number(gamma):
         raise InputError(f"{path}: parameters.gamma must be a number")
-    for key, value in (("mu", mu), ("epsilon", epsilon)):
-        if value is not None and not _is_number(value):
+    for key, value in given.items():
+        if not _is_number(value):
             raise InputError(f"{path}: parameters.{key} must be a number or null")
     if not (_is_int(seed) or isinstance(seed, list) and all(map(_is_int, seed))):
         raise InputError(f"{path}: parameters.seed must be an int or a list of ints")
     try:
-        return SolverConfig(gamma=gamma, mu=mu, epsilon=epsilon or 0.0, seed=seed)
+        return SolverConfig(gamma=gamma, seed=seed, **given)
     except ValueError as exc:
         raise InputError(f"{path}: parameters: {exc}") from exc
 
@@ -432,15 +417,15 @@ def build_parser():
     p_solve = sub.add_parser("solve", help="solve a matrix-set file")
     p_solve.add_argument("input", help="matrix-set JSON file")
     p_solve.add_argument("--method", choices=_METHODS, default="greedy")
-    p_solve.add_argument("--gamma", type=float, default=1.2,
+    p_solve.add_argument("--gamma", type=float, default=SolverConfig.gamma,
                          help="near-null threshold multiplier, > 1; read by greedy and consv")
-    p_solve.add_argument("--mu", type=float, default=None,
+    p_solve.add_argument("--mu", type=float, default=SolverConfig.mu,
                          help="relative gap threshold, read by greedy only; default "
                               "1/(8(n-1)), or 1e-6 when the near-null space is cut at "
                               "numerical rank (an exact set)")
-    p_solve.add_argument("--epsilon", type=float, default=0.0,
+    p_solve.add_argument("--epsilon", type=float, default=SolverConfig.epsilon,
                          help="cost tolerance, read by consv only")
-    p_solve.add_argument("--seed", type=int, default=0,
+    p_solve.add_argument("--seed", type=int, default=SolverConfig.seed,
                          help="seed of the random combination, read by greedy and exact")
     p_solve.add_argument("--out", default=None, help="result JSON path (default stdout)")
     p_solve.set_defaults(func=cmd_solve)

@@ -255,31 +255,24 @@ def largest_principal_angle(e, f):
     float
         Angle in [0, pi/2].
     """
-    return float(_largest_angle(_orthonormal_basis(e), _orthonormal_basis(f)))
+    return float(_largest_angle(_orthonormal_basis(e)[None], _orthonormal_basis(f)[None])[0])
 
 
 def _largest_angle(ue, uf):
     # largest principal angle between two orthonormal bases (Bjorck & Golub
     # 1973): the smallest cosine, or the sine from the residual of projecting
     # the narrower basis, which stays accurate where the cosine does not.
-    # Stacks (..., n, p) and (..., n, q) broadcast against each other and
-    # give an array of angles, by one LAPACK call per step; each member takes
-    # the same routines as the 2-D call, so the same bits
+    # Takes stacks (..., n, p) and (..., n, q), one pair as a stack of one,
+    # which broadcast against each other and give an array of angles by one
+    # LAPACK call per step; LAPACK runs the same routine on every member
     if ue.shape[-1] < uf.shape[-1]:
         ue, uf = uf, ue
     cross = ue.swapaxes(-1, -2) @ uf
     cos = np.linalg.svd(cross, compute_uv=False)[..., -1]
     near = cos * cos >= 0.5  # where the sine decides; only there the residual SVD
-    if near.ndim == 0:  # one pair
-        if not near:
-            return np.arccos(min(cos, 1.0))
-        return np.arcsin(min(np.linalg.svd(uf - ue @ cross, compute_uv=False)[0], 1.0))
     angle = np.arccos(np.minimum(cos, 1.0))
     if near.any():
-        shape = near.shape
-        ue_near = np.broadcast_to(ue, shape + ue.shape[-2:])[near]
-        uf_near = np.broadcast_to(uf, shape + uf.shape[-2:])[near]
-        sin = np.linalg.svd(uf_near - ue_near @ cross[near], compute_uv=False)[:, 0]
+        sin = np.linalg.svd((uf - ue @ cross)[near], compute_uv=False)[:, 0]
         angle[near] = np.arcsin(np.minimum(sin, 1.0))
     return angle
 

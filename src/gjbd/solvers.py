@@ -191,13 +191,13 @@ def greedy_solve(a, cfg=None):
     return greedy_solve_with_trace(a, cfg)[0]
 
 
-def exact_solve_with_trace(a, seed=0):
+def exact_solve_with_trace(a, seed=SolverConfig.seed):
     """Like :func:`exact_solve` but also returns the combined null direction
     and threshold for bound verification."""
     return _combination_solve(a, exact_nullspace(a), SolverConfig(seed=seed))
 
 
-def exact_solve(a, seed=0):
+def exact_solve(a, seed=SolverConfig.seed):
     """Solve assuming the set admits an exact joint block diagonalization.
 
     Greedy's path over the numerical-rank null space of the coupling
@@ -216,7 +216,7 @@ def exact_solve(a, seed=0):
     return exact_solve_with_trace(a, seed)[0]
 
 
-def one_step_split_with_trace(a, gamma=1.2, basis=None):
+def one_step_split_with_trace(a, gamma=SolverConfig.gamma, basis=None):
     """Like :func:`one_step_split` but also returns the trace-free split
     direction and threshold for bound verification.
 
@@ -249,7 +249,7 @@ def one_step_split_with_trace(a, gamma=1.2, basis=None):
     return solution, SolveTrace(z=z, basis=basis_obj)
 
 
-def one_step_split(a, gamma=1.2):
+def one_step_split(a, gamma=SolverConfig.gamma):
     """Best two-block split of the set.
 
     The split direction is the trace-free near-null combination maximizing

@@ -311,6 +311,25 @@ class TestBench:
         assert "SNR '-inf'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_row_order(self, tmp_path):
+        # the --snrs order, then the trial, then the method name
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--case", "custom", "--partition", "2,3", "--m", 6,
+                   "--snrs", "60,20", "--trials", 2, "--methods", "greedy,exact,consv",
+                   "--out", out) == EXIT_OK
+        keys = [tuple(line.split(",")[:3]) for line in out.read_text().splitlines()[1:]]
+        assert keys == [(snr, str(trial), method) for snr in ("60", "20") for trial in range(2)
+                        for method in ("consv", "exact", "greedy")]
+
+    @pytest.mark.parametrize("snrs, name", [("40,40", "40"), ("inf,infinity", "inf")])
+    def test_repeated_snr(self, tmp_path, capsys, snrs, name):
+        # compared after parsing; each SNR's rows form one block
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--snrs", snrs, "--trials", 1, "--methods", "greedy",
+                   "--out", out) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: SNR {name} appears more than once in --snrs\n"
+        assert not out.exists()
+
     def test_custom_needs_partition(self, tmp_path):
         assert run("bench", "--case", "custom", "--out", tmp_path / "x.csv") == EXIT_PARSE
 

@@ -8,12 +8,26 @@ block sizes unchanged.
 Contract: on every drawn set, each solver returns a ``Solution`` that
 passes ``check_solution_invariants`` or raises a ``NumericalError``; the
 two-block split returns such a ``Solution`` with two blocks or raises an
-``UnsplittableError`` or a ``NumericalError``."""
+``UnsplittableError`` or a ``NumericalError``.  Through the command line,
+``gjbd solve`` ends with exit 0, 3 or 5, and ``gjbd check --bounds
+--equivalence`` on every result it writes with exit 0 or 4."""
+
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gjbd.cli import (
+    EXIT_CHECK_FAILED,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_TRIVIAL,
+    main,
+    matrix_set_document,
+)
 from gjbd.datagen import generate_model, noise_level
 from gjbd.matkernels import NumericalError
 from gjbd.nullspace import MatrixSet
@@ -113,3 +127,63 @@ def test_every_set_gets_a_solution_or_a_numerical_error(kind, seed):
         return
     assert split.partition.card == 2
     check_solution_invariants(a, split)
+
+
+_SCALED_KINDS = {"times 2^500": 2.0 ** 500, "times 2^-500": 2.0 ** -500}
+
+
+def _contract_set(rng, kind):
+    """(set, scale) of one kind, of order 1 to 5 with 1 to 4 matrices: a
+    scaled identity per matrix, diagonal matrices, a fuzz set scaled by
+    2^500 or 2^-500 (exact in floating point), or a fuzz set of one of
+    FUZZ_KINDS; consv's epsilon is scaled with the set."""
+    if kind in FUZZ_KINDS:
+        return fuzz_set(rng, kind, orders=(1, 6)), 1.0
+    if kind in _SCALED_KINDS:
+        base = fuzz_set(rng, FUZZ_KINDS[int(rng.integers(len(FUZZ_KINDS)))], orders=(1, 6))
+        return MatrixSet(_SCALED_KINDS[kind] * base.mats), _SCALED_KINDS[kind]
+    n, m = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+    if kind == "scaled identity":
+        return MatrixSet(rng.standard_normal(m)[:, None, None] * np.eye(n)), 1.0
+    return MatrixSet(np.array([np.diag(rng.standard_normal(n)) for _ in range(m)])), 1.0
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["scaled identity", "diagonal", *_SCALED_KINDS, *FUZZ_KINDS]),
+       seed=_SEEDS)
+def test_every_entry_point_keeps_its_contract(kind, seed):
+    # the library contract on the kinds the fuzz test above does not draw,
+    # and the command-line one on every kind
+    a, scale = _contract_set(np.random.default_rng(seed), kind)
+    eps = 1e-6 * scale
+    if kind not in FUZZ_KINDS:
+        for solve in (lambda: greedy_solve(a, SolverConfig(seed=seed)),
+                      lambda: conservative_solve(a, SolverConfig(epsilon=eps)),
+                      lambda: exact_solve(a, seed)):
+            try:
+                solution = solve()
+            except NumericalError:
+                continue
+            check_solution_invariants(a, solution)
+        try:
+            split = one_step_split(a)
+        except (UnsplittableError, NumericalError):
+            split = None
+        if split is not None:
+            assert split.partition.card == 2
+            check_solution_invariants(a, split)
+    # hypothesis rejects function-scoped fixtures such as tmp_path
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = Path(tmp) / "set.json"
+        inp.write_text(json.dumps(matrix_set_document(a)))
+        for method in ("greedy", "consv", "exact"):
+            res = Path(tmp) / f"{method}.json"
+            code = main(["solve", str(inp), "--method", method, "--epsilon", repr(eps),
+                         "--seed", str(seed), "--out", str(res)])
+            assert code in (EXIT_OK, EXIT_TRIVIAL, EXIT_NUMERICAL), method
+            if code == EXIT_NUMERICAL:
+                assert not res.exists(), method
+                continue
+            code = main(["check", str(inp), "--result", str(res), "--bounds", "--equivalence",
+                         "--out", str(Path(tmp) / "check.json")])
+            assert code in (EXIT_OK, EXIT_CHECK_FAILED), method
