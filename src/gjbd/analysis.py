@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matkernels import _largest_angle, _orthonormal_basis, _sep_stacked, economic_qr
-from .nullspace import MatrixSet, _gram, _unit_scaled, basis_excluding_identity, exact_nullspace
+from .nullspace import MatrixSet, basis_excluding_identity, exact_nullspace, pair_grams
 
 _REL_SLACK = 1e-8
 
@@ -87,27 +87,15 @@ def cost_ls(a, p, w):
     return float(np.sum((w.T @ a.mats @ w)[:, ~p.mask] ** 2))
 
 
-def _size_classes(p):
-    # {block size: ids of the blocks of p of that size}
+def _bases_by_size(m, p, orthonormalize):
+    # {block size: (ids of the blocks of p of that size, orthonormalize of
+    # the stack (count, n, size) of their columns of m)}, one call per size
     ids_by_size = {}
     for j, size in enumerate(p.sizes):
         ids_by_size.setdefault(size, []).append(j)
-    return ids_by_size
-
-
-def _stacked(m, slices, ids):
-    # the blocks ids, all of one size, of the columns of m as one stack
-    # (count, n, size); a single block as a view, which np.stack would copy
-    if len(ids) == 1:
-        return m[:, slices[ids[0]]][None]
-    return np.stack([m[:, slices[j]] for j in ids])
-
-
-def _bases_by_size(m, p, slices):
-    # {block size: (block ids, stack (count, n, size) of their orthonormal
-    # bases)}, one LAPACK call per size
-    return {size: (ids, _orthonormal_basis(_stacked(m, slices, ids)))
-            for size, ids in _size_classes(p).items()}
+    slices = p.slices()
+    return {size: (ids, orthonormalize(np.stack([m[:, slices[j]] for j in ids])))
+            for size, ids in ids_by_size.items()}
 
 
 def normalize(w, p):
@@ -132,14 +120,7 @@ def normalize(w, p):
                          f"of shape {w.shape}")
     out = np.empty_like(w)
     slices = p.slices()
-    for ids in _size_classes(p).values():
-        if len(ids) == 1:
-            # the 2-D call costs less than a stack of one
-            sl = slices[ids[0]]
-            u, _ = economic_qr(w[:, sl])
-            out[:, sl] = u
-            continue
-        u, _ = economic_qr(_stacked(w, slices, ids))
+    for ids, u in _bases_by_size(w, p, lambda stack: economic_qr(stack)[0]).values():
         for j, u_j in zip(ids, u):
             out[:, slices[j]] = u_j
     return out
@@ -199,8 +180,8 @@ def performance_index(v_inv, w, p_true, p_hat):
     if p_hat.n != p_true.n:
         return None
     hat_slices = p_hat.slices()
-    true_bases = _bases_by_size(v_inv, p_true, p_true.slices())
-    hat_bases = _bases_by_size(w, p_hat, hat_slices)
+    true_bases = _bases_by_size(v_inv, p_true, _orthonormal_basis)
+    hat_bases = _bases_by_size(w, p_hat, _orthonormal_basis)
     true_basis = {k: u_k for ids, u in true_bases.values() for k, u_k in zip(ids, u)}
     angle_cache = {}
     for size, (true_ids, u_true) in true_bases.items():
@@ -254,16 +235,6 @@ def performance_index(v_inv, w, p_true, p_hat):
     return None if np.isinf(best) else float(best)
 
 
-def _pairs_by(p, key):
-    # the block pairs (j, k), j < k, grouped by key(j, k), for one batched
-    # LAPACK call per group
-    groups = {}
-    for j in range(p.card):
-        for k in range(j + 1, p.card):
-            groups.setdefault(key(j, k), []).append((j, k))
-    return groups.values()
-
-
 def _single_value_or_pair(f):
     # one real eigenvalue or one conjugate pair, in whatever order LAPACK
     # returns them
@@ -276,11 +247,10 @@ def equivalence_check(a, p, w):
     """Test whether all exact solutions sharing the structure of ``(p, w)``
     are equivalent.
 
-    The coupling equations of the block diagonal part of ``w.T A_i w`` tie
-    the entries of ``Z`` in blocks ``(j, k)`` and ``(k, j)`` to no others,
-    so the principal submatrix of their one Gram matrix on those entries is
-    the pair's own; a pair is flagged when it is numerically singular, that
-    is, when the pair's equations admit a nonzero solution.  Also samples
+    A block pair is flagged when the Gram matrix of its coupling equations
+    in the block diagonal part of ``w.T A_i w``
+    (:func:`gjbd.nullspace.pair_grams`) is numerically singular, that is,
+    when the pair's equations admit a nonzero solution.  Also samples
     random trace-free elements ``f`` of each block's exact null space and
     checks that their eigenvalues form a single real value or a single
     conjugate pair: the real parts must spread by at most
@@ -312,25 +282,16 @@ def equivalence_check(a, p, w):
     if p.n != a.n or w.shape != (a.n, a.n):
         raise ValueError("partition and w must match the order of the matrix set")
     compressed = w.T @ a.mats @ w
-    # scaled as the near-null spaces are, so that no scale of the set
-    # overflows or underflows the squares in the Gram matrix
-    g = _gram(_unit_scaled(MatrixSet(bdiag(compressed, p)))[0])
-    column = np.arange(a.n ** 2).reshape((a.n, a.n), order="F")  # g's column weighing Z[r, s]
-    slices = p.slices()
     singular_pairs = []
-    for pairs in _pairs_by(p, lambda j, k: p.sizes[j] * p.sizes[k]):
-        # one eigvalsh call over the pairs' stacked principal submatrices
-        ids = np.array([np.concatenate((column[slices[j], slices[k]].ravel(),
-                                        column[slices[k], slices[j]].ravel()))
-                        for j, k in pairs])
-        evals = np.linalg.eigvalsh(g[ids[:, :, None], ids[:, None, :]])
+    for pairs, grams in pair_grams(MatrixSet(bdiag(compressed, p)), p):
+        evals = np.linalg.eigvalsh(grams)  # one call over the pairs' stack
         singular_pairs += [pair for pair, ev in zip(pairs, evals)
                            if ev[0] <= 1e3 * np.finfo(float).eps * ev[-1]]
     singular_pairs.sort()
 
     rng = np.random.default_rng(_SPECTRA_SEED)
     bases = (basis_excluding_identity(exact_nullspace(MatrixSet(compressed[:, sl, sl])))
-             for sl in slices)
+             for sl in p.slices())
     samples = (sum(c * z for c, z in zip(rng.standard_normal(len(basis)), basis))
                for basis in bases if basis for _ in range(_SPECTRA_SAMPLES))
     spectra_ok = all(map(_single_value_or_pair, samples))
@@ -357,7 +318,7 @@ def verify_offblock_bound(a, z, delta, solution):
     g_blocks = [g_full[sl, sl] for sl in p.slices()]
     seps = [_sep_stacked(np.array([g_blocks[j] for j, _ in pairs]),
                          np.array([g_blocks[k] for _, k in pairs]))
-            for pairs in _pairs_by(p, lambda j, k: (p.sizes[j], p.sizes[k]))]
+            for pairs in p.pairs_by(lambda j, k: (p.sizes[j], p.sizes[k]))]
     sep = float(np.min(np.concatenate(seps))) if seps else np.inf
     z_norm = float(np.linalg.norm(z))
     w_norm2 = float(np.linalg.norm(w, 2))

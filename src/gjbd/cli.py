@@ -246,9 +246,11 @@ def cmd_bench(args):
         if snr in snrs[:i]:
             raise InputError(f"SNR {snr:g} appears more than once in --snrs")
     methods = [tok.strip() for tok in args.methods.split(",")]
-    for method in methods:
+    for i, method in enumerate(methods):
         if method not in _METHODS:
             raise InputError(f"unknown method {method!r}")
+        if method in methods[:i]:
+            raise InputError(f"method {method} appears more than once in --methods")
 
     # rows in output order: the --snrs order, then the trial, then the method name
     lines = ["snr,trial,method,card,correct,pi,cost,runtime_ms"]

@@ -111,7 +111,7 @@ def real_schur_ordered(z):
         raise ValueError("z must have finite entries")
     n = z.shape[0]
     try:
-        t, q = scipy.linalg.schur(z, output="real")
+        t, q = scipy.linalg.schur(z, output="real", check_finite=False)  # checked above
     except np.linalg.LinAlgError as exc:
         raise SchurConvergenceError(f"Schur iteration failed for a {n}x{n} matrix") from exc
 

@@ -162,8 +162,8 @@ def _gram(a):
     ``n**2 x n**2`` arrays are alive.
 
     Two callers: :func:`_near_null_svd`, for the solvers' near-null spaces,
-    and :func:`gjbd.analysis.equivalence_check`, which reads each block
-    pair's certificate from a principal submatrix.
+    and :func:`pair_grams`, which reads each block pair's Gram matrix from
+    a principal submatrix.
     """
     n = a.n
     rows = a.mats.reshape(a.m * n, n)  # rows[(i, r), p] = A_i[r, p]
@@ -179,6 +179,31 @@ def _gram(a):
     diag = np.arange(n)
     g.reshape(n, n, n, n)[diag, :, diag, :] += s  # I kron S
     return g
+
+
+def pair_grams(a, p):
+    """``[(pairs, grams), ...]``: per product ``nj * nk`` of block sizes of
+    ``p``, its block pairs ``(j, k)``, ``j < k``, and the stack of the Gram
+    matrices of their coupling equations, for a set ``a`` block diagonal
+    under ``p``.
+
+    There the equations tie the entries of ``Z`` in blocks ``(j, k)`` and
+    ``(k, j)`` to no others, so a pair's Gram matrix is the principal
+    submatrix of the one ``K.T K`` on those entries, block ``(j, k)`` row by
+    row, then block ``(k, j)``; it is singular exactly when the pair's
+    equations admit a nonzero solution.  ``K`` is that of ``a`` scaled as
+    for the near-null spaces, by :func:`_unit_scaled`.
+    """
+    g = _gram(_unit_scaled(a)[0])
+    column = np.arange(a.n ** 2).reshape((a.n, a.n), order="F")  # g's column weighing Z[r, s]
+    slices = p.slices()
+    groups = []
+    for pairs in p.pairs_by(lambda j, k: p.sizes[j] * p.sizes[k]):
+        ids = np.array([np.concatenate((column[slices[j], slices[k]].ravel(),
+                                        column[slices[k], slices[j]].ravel()))
+                        for j, k in pairs])
+        groups.append((pairs, g[ids[:, :, None], ids[:, None, :]]))
+    return groups
 
 
 def _apply_k(a, v):

@@ -49,6 +49,16 @@ class Partition:
         edges = [0, *itertools.accumulate(self.sizes)]
         return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
 
+    def pairs_by(self, key):
+        """The block pairs ``(j, k)``, ``j < k``, grouped by ``key(j, k)``,
+        in order of first appearance, so that each group can take one
+        batched LAPACK call."""
+        groups = {}
+        for j in range(self.card):
+            for k in range(j + 1, self.card):
+                groups.setdefault(key(j, k), []).append((j, k))
+        return list(groups.values())
+
     @property
     def mask(self):
         """(n, n) bool array, True exactly on the diagonal blocks."""

@@ -330,6 +330,15 @@ class TestBench:
         assert capsys.readouterr().err == f"error: SNR {name} appears more than once in --snrs\n"
         assert not out.exists()
 
+    def test_repeated_method(self, tmp_path, capsys):
+        # refused before any solve, as a repeated SNR is
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--snrs", 40, "--trials", 1, "--methods", "greedy, consv,greedy",
+                   "--out", out) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == "error: method greedy appears more than once in --methods\n"
+        assert not out.exists()
+
     def test_custom_needs_partition(self, tmp_path):
         assert run("bench", "--case", "custom", "--out", tmp_path / "x.csv") == EXIT_PARSE
 

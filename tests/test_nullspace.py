@@ -19,11 +19,12 @@ from gjbd.nullspace import (
     delta_nullspace,
     exact_nullspace,
     exact_rank_tolerance,
+    pair_grams,
     trace_gram,
 )
 from gjbd.partition import Partition
 from gjbd.solvers import SolverConfig, conservative_solve, greedy_solve
-from oracles import build_stacked_operator, perfect_shuffle, residual
+from oracles import build_stacked_operator, nonunique_example, perfect_shuffle, residual
 
 
 def vec(z):
@@ -118,6 +119,37 @@ class TestOperatorKernels:
         y = rng.standard_normal((m * n * n, 3))
         assert np.allclose(_apply_k(a, v), ell @ v, rtol=0.0, atol=1e-12)
         assert np.allclose(_apply_kt(a, y), ell.T @ y, rtol=0.0, atol=1e-12)
+
+    def test_pair_grams_are_principal_submatrices(self):
+        # the non-unique 4x4 fixture, whose two equal 2x2 blocks are coupled,
+        # and a random 3x3 block coupled to neither
+        fixture, _ = nonunique_example([1.0, -0.4, 2.2], [0.8, 1.5, -1.0])
+        rng = np.random.default_rng(5)
+        mats = np.zeros((3, 7, 7))
+        mats[:, :4, :4] = fixture.mats
+        mats[:, 4:, 4:] = rng.uniform(-1.0, 1.0, (3, 3, 3))
+        a, p = MatrixSet(mats), Partition((2, 2, 3))
+        # the largest entry, 2.2, is scaled to 0.55
+        ell = build_stacked_operator(MatrixSet(np.ldexp(mats, -2)))
+        dense = ell.T @ ell
+        slices = p.slices()
+        groups = pair_grams(a, p)
+        assert [pairs for pairs, _ in groups] == [[(0, 1)], [(0, 2), (1, 2)]]
+        for pairs, grams in groups:
+            for (j, k), gram in zip(pairs, grams):
+                rows_j, rows_k = range(7)[slices[j]], range(7)[slices[k]]
+                # vec(Z) is column-major: Z[r, c] is entry c * n + r
+                ids = ([c * 7 + r for r in rows_j for c in rows_k]
+                       + [c * 7 + r for r in rows_k for c in rows_j])
+                want = dense[np.ix_(ids, ids)]
+                assert np.linalg.norm(gram - want) <= 1e-13 * np.linalg.norm(want)
+                evals = np.linalg.eigvalsh(gram)
+                at_rounding = evals[0] <= 1e3 * np.finfo(float).eps * evals[-1]
+                assert at_rounding == ((j, k) == (0, 1)), (j, k, evals[0] / evals[-1])
+        # scaling by a power of two leaves every Gram matrix's bits alone
+        for scale in (-600, 600):
+            scaled = pair_grams(MatrixSet(np.ldexp(mats, scale)), p)
+            assert all(np.array_equal(g, h) for (_, g), (_, h) in zip(scaled, groups))
 
 
 def dense_dims(a, sigma, gamma):

@@ -43,6 +43,13 @@ class TestPartition:
         assert p.mask.dtype == bool
         assert np.array_equal(p.mask, expected)
 
+    def test_pairs_by(self):
+        # every pair j < k once, grouped by key in order of first appearance
+        p = Partition((2, 1, 2, 1))
+        assert p.pairs_by(lambda j, k: p.sizes[j] * p.sizes[k]) == [
+            [(0, 1), (0, 3), (1, 2), (2, 3)], [(0, 2)], [(1, 3)]]
+        assert Partition((3,)).pairs_by(lambda j, k: 0) == []
+
 
 def schur_with(re, pair_starts=()):
     """Ordered Schur form with diagonal ``re`` and a 2x2 conjugate-pair
