@@ -8,7 +8,9 @@ inseparable eigenvalue clusters).
 """
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -201,12 +203,7 @@ def cmd_solve(args):
     solution, _ = _solve_with(args.method, a, cfg)
     doc = {
         "method": args.method,
-        "parameters": {
-            "gamma": args.gamma,
-            "mu": args.mu,
-            "epsilon": args.epsilon,
-            "seed": args.seed,
-        },
+        "parameters": dataclasses.asdict(cfg),
         "partition": list(solution.partition.sizes),
         "w": solution.w.flatten().tolist(),
         "cost": solution.cost,
@@ -231,14 +228,7 @@ def _fmt_float(x):
 
 
 def cmd_bench(args):
-    if args.case == "1":
-        p, m = Partition((3, 3, 3)), 20
-    elif args.case == "2":
-        p, m = Partition((1, 2, 3, 4)), 20
-    else:
-        if args.partition is None:
-            raise InputError("--case custom requires --partition")
-        p, m = _parse_partition(args.partition), args.m
+    p = _parse_partition(args.partition)
     if args.trials < 1:
         raise InputError(f"--trials must be at least 1, got {args.trials}")
     snrs = [_parse_snr(tok) for tok in args.snrs.split(",")]
@@ -256,12 +246,12 @@ def cmd_bench(args):
     lines = ["snr,trial,method,card,correct,pi,cost,runtime_ms"]
     for snr in snrs:
         for trial in range(args.trials):
-            inst = generate_model(p, m, snr, args.seed + trial)
+            inst = generate_model(p, args.m, snr, args.seed + trial)
             a = inst.a
+            # epsilon is read by consv only
+            cfg = SolverConfig(epsilon=_snr_epsilon(snr, a.n, a.total_sq_norm()),
+                               seed=(args.seed + trial, 1))
             for method in sorted(methods):
-                eps = (_snr_epsilon(snr, a.n, a.total_sq_norm()) if method == "consv"
-                       else SolverConfig.epsilon)
-                cfg = SolverConfig(epsilon=eps, seed=(args.seed + trial, 1))
                 start = time.perf_counter()
                 solution, _ = _solve_with(method, a, cfg)
                 elapsed_ms = (time.perf_counter() - start) * 1e3 if args.timing else 0.0
@@ -357,8 +347,7 @@ def cmd_check(args):
     if args.result is not None:
         solution, method, cfg = _load_result(args.result, a.n)
         recomputed = cost_ls(a, solution.partition, solution.w)
-        scale = max(abs(solution.cost), abs(recomputed), 1e-300)
-        match = abs(recomputed - solution.cost) <= 1e-12 * scale or (
+        match = math.isclose(recomputed, solution.cost, rel_tol=1e-12) or (
             solution.cost == 0.0 and recomputed <= 1e-12 * a.total_sq_norm()
         )
         doc["cost"] = {
@@ -441,8 +430,7 @@ def build_parser():
     p_synth.set_defaults(func=cmd_synth)
 
     p_bench = sub.add_parser("bench", help="seeded benchmark sweep, CSV output")
-    p_bench.add_argument("--case", choices=("1", "2", "custom"), default="1")
-    p_bench.add_argument("--partition", default=None, help="block sizes for --case custom")
+    p_bench.add_argument("--partition", default="3,3,3", help="comma-separated block sizes")
     p_bench.add_argument("--m", type=int, default=20)
     p_bench.add_argument("--snrs", default="20,40,60,80")
     p_bench.add_argument("--trials", type=int, default=50)

@@ -79,11 +79,9 @@ def generate_model(p, m, snr, seed):
     v = rng.standard_normal((n, n))
     while np.linalg.cond(v) > _MAX_MIXING_CONDITION:
         v = rng.standard_normal((n, n))
-    d = np.empty((m, n, n))
-    for i in range(m):
-        full = rng.standard_normal((n, n))
-        d[i] = bdiag(full, p) + sigma * offbdiag(full, p)
-    mats = np.array([v.T @ di @ v for di in d])
+    full = rng.standard_normal((m, n, n))
+    d = bdiag(full, p) + sigma * offbdiag(full, p)
+    mats = v.T @ d @ v
     return ModelInstance(
         a=MatrixSet(mats), v=v, d=d, p_true=p, snr=float(snr), seed=seed
     )

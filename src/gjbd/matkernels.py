@@ -6,6 +6,7 @@ each cluster is decoupled from all earlier ones by one ``dtrsyl`` solve
 (Bartels-Stewart), guarded by the ``dtrsen`` separation estimate of it."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -75,6 +76,13 @@ class SchurForm:
         block."""
         return np.diag(self.t, -1) == 0.0
 
+    @cached_property
+    def rounding_level(self):
+        """``1e3 * eps * ||t||_F``, the size below which a quantity of the
+        form is taken for rounding error: a range of eigenvalue real parts
+        in gap clustering, a separation estimate in Sylvester decoupling."""
+        return 1e3 * np.finfo(float).eps * np.linalg.norm(self.t)
+
 
 def _block_size(t, i):
     # 2 at the start of a 2x2 conjugate-pair block, else 1
@@ -131,7 +139,7 @@ def real_schur_ordered(z):
     return SchurForm(q=q, t=t)
 
 
-def _solve_cluster_sylvester(t, e0, e1, tnorm, k):
+def _solve_cluster_sylvester(t, e0, e1, level, k):
     # Solve T11 @ X - X @ Tkk = -T1k for cluster k at positions e0:e1 against
     # all earlier clusters, guarded by the dtrsen estimate of sep(T11, Tkk)
     # against clusters that cannot be decoupled though their eigenvalues differ.
@@ -139,7 +147,7 @@ def _solve_cluster_sylvester(t, e0, e1, tnorm, k):
     *_, sep, _ = lapack.dtrsen(np.arange(e1) < e0, t[:e1, :e1], np.eye(e1),
                                job="V", wantq=0, lwork=2 * e0 * nk, liwork=e0 * nk)
     x, scale, info = lapack.dtrsyl(t[:e0, :e0], t[e0:e1, e0:e1], -t[:e0, e0:e1], isgn=-1)
-    if sep <= 1e3 * np.finfo(float).eps * tnorm or info != 0:
+    if sep <= level or info != 0:
         raise InseparableClustersError(k - 1, k)
     return x / scale
 
@@ -182,10 +190,9 @@ def block_diagonalize_similarity(schur, boundaries):
         raise ValueError("a boundary splits a 2x2 conjugate-pair block")
 
     edges = boundaries + [n]
-    tnorm = np.linalg.norm(t)
     w = np.eye(n)
     for k, (e0, e1) in enumerate(zip(edges, edges[1:]), start=1):
-        w[:e0, e0:e1] = _solve_cluster_sylvester(t, e0, e1, tnorm, k)
+        w[:e0, e0:e1] = _solve_cluster_sylvester(t, e0, e1, schur.rounding_level, k)
     return w
 
 

@@ -73,13 +73,13 @@ def cluster_by_gap(schur, mu):
     A boundary is placed after position ``i`` whenever the consecutive gap
     reaches ``mu`` times the range ``max - min`` of the real parts and
     ``schur.cuts[i]`` allows a block to end there.  Two kinds of real parts
-    form a single cluster.  A range at rounding level, at most
-    ``1e3 * eps * ||t||_F`` (the scale of the decoupling guard), comes from
-    rounding, not from the spectrum.  A descent of ``mu`` times the range or
-    more means the range is reordering error: the ordering sorts the real
-    parts, so a descent is what swapping near-defective blocks (Bai and
-    Demmel) perturbed them by, and the range is at most ``1 / mu`` times
-    that perturbation.  A smaller descent is clustered by gap like a sorted
+    form a single cluster.  A range at most ``schur.rounding_level``, the
+    level that also guards the decoupling, comes from rounding, not from
+    the spectrum.  A descent of ``mu`` times the range or more means the
+    range is reordering error: the ordering sorts the real parts, so a
+    descent is what swapping near-defective blocks (Bai and Demmel)
+    perturbed them by, and the range is at most ``1 / mu`` times that
+    perturbation.  A smaller descent is clustered by gap like a sorted
     order, because a gap that small never places a boundary.
 
     Parameters
@@ -104,7 +104,7 @@ def cluster_by_gap(schur, mu):
     re = schur.eig_real_parts
     gaps = np.diff(re)
     rng = re.max() - re.min()
-    if rng <= 1e3 * np.finfo(float).eps * np.linalg.norm(schur.t) or np.any(gaps <= -mu * rng):
+    if rng <= schur.rounding_level or np.any(gaps <= -mu * rng):
         return Partition((schur.n,))
     boundaries = np.flatnonzero(schur.cuts & (gaps >= mu * rng)) + 1
     return Partition(np.diff(np.concatenate(([0], boundaries, [schur.n]))))

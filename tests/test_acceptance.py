@@ -147,7 +147,7 @@ def test_criterion_4_nonuniqueness_fixture():
 def test_criterion_5_conservative_contract_in_bench(tmp_path):
     out = tmp_path / "bench.csv"
     code = cli_main([
-        "bench", "--case", "1", "--snrs", "20,40,60,80", "--trials", "5",
+        "bench", "--partition", "3,3,3", "--snrs", "20,40,60,80", "--trials", "5",
         "--methods", "consv", "--seed", "123", "--out", str(out),
     ])
     assert code == 0
@@ -234,7 +234,7 @@ def test_criterion_7_kernel_properties():
 def test_criterion_8_bench_determinism(tmp_path):
     first = tmp_path / "one.csv"
     second = tmp_path / "two.csv"
-    args = ["bench", "--case", "2", "--snrs", "20,60", "--trials", "3",
+    args = ["bench", "--partition", "1,2,3,4", "--snrs", "20,60", "--trials", "3",
             "--methods", "greedy,consv", "--seed", "99"]
     assert cli_main(args + ["--out", str(first)]) == 0
     assert cli_main(args + ["--out", str(second)]) == 0

@@ -250,7 +250,7 @@ class TestSolve:
 class TestBench:
     def test_shape_and_contract(self, tmp_path):
         out = tmp_path / "bench.csv"
-        code = run("bench", "--case", "1", "--snrs", "20,40", "--trials", 2,
+        code = run("bench", "--partition", "3,3,3", "--snrs", "20,40", "--trials", 2,
                    "--methods", "greedy,consv", "--seed", 0, "--out", out)
         assert code == EXIT_OK
         lines = out.read_text().splitlines()
@@ -272,7 +272,7 @@ class TestBench:
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ("bench", "--case", "2", "--snrs", "30", "--trials", 2,
+        args = ("bench", "--partition", "1,2,3,4", "--snrs", "30", "--trials", 2,
                 "--methods", "greedy", "--seed", 7)
         assert run(*args, "--out", a) == EXIT_OK
         assert run(*args, "--out", b) == EXIT_OK
@@ -280,8 +280,7 @@ class TestBench:
 
     def test_timing_fills_only_runtime(self, tmp_path):
         plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
-        args = ("bench", "--case", "1", "--trials", 1, "--snrs", "40",
-                "--methods", "greedy,consv")
+        args = ("bench", "--trials", 1, "--snrs", "40", "--methods", "greedy,consv")
         assert run(*args, "--out", plain) == EXIT_OK
         assert run(*args, "--timing", "--out", timed) == EXIT_OK
         plain_rows = [line.split(",") for line in plain.read_text().splitlines()]
@@ -295,7 +294,7 @@ class TestBench:
 
     def test_exact_sweep_recovers(self, tmp_path):
         out = tmp_path / "exact.csv"
-        code = run("bench", "--case", "custom", "--partition", "2,3", "--m", 6,
+        code = run("bench", "--partition", "2,3", "--m", 6,
                    "--snrs", "inf", "--trials", 1, "--methods", "greedy,consv,exact",
                    "--seed", 0, "--out", out)
         assert code == EXIT_OK
@@ -306,7 +305,7 @@ class TestBench:
 
     def test_snr_neither_finite_nor_plus_inf(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
-        assert run("bench", "--case", "1", "--snrs=40,-inf", "--trials", 1,
+        assert run("bench", "--snrs=40,-inf", "--trials", 1,
                    "--out", out) == EXIT_PARSE
         assert "SNR '-inf'" in capsys.readouterr().err
         assert not out.exists()
@@ -314,7 +313,7 @@ class TestBench:
     def test_row_order(self, tmp_path):
         # the --snrs order, then the trial, then the method name
         out = tmp_path / "bench.csv"
-        assert run("bench", "--case", "custom", "--partition", "2,3", "--m", 6,
+        assert run("bench", "--partition", "2,3", "--m", 6,
                    "--snrs", "60,20", "--trials", 2, "--methods", "greedy,exact,consv",
                    "--out", out) == EXIT_OK
         keys = [tuple(line.split(",")[:3]) for line in out.read_text().splitlines()[1:]]
@@ -339,14 +338,39 @@ class TestBench:
         assert err == "error: method greedy appears more than once in --methods\n"
         assert not out.exists()
 
-    def test_custom_needs_partition(self, tmp_path):
-        assert run("bench", "--case", "custom", "--out", tmp_path / "x.csv") == EXIT_PARSE
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        # (block sizes, m) of each set the sweep draws
+        drawn = []
+
+        def recording(p, m, snr, seed):
+            drawn.append((p.sizes, m))
+            return generate_model(p, m, snr, seed)
+
+        monkeypatch.setattr(gjbd.cli, "generate_model", recording)
+        return drawn
+
+    @pytest.mark.parametrize("options, swept", [((), ((3, 3, 3), 20)),
+                                                 (("--partition", "2,2", "--m", 3), ((2, 2), 3))],
+                             ids=["default", "partition-2,2-m-3"])
+    def test_partition_and_m_name_the_swept_set(self, tmp_path, drawn, options, swept):
+        out = tmp_path / "bench.csv"
+        assert run("bench", *options, "--snrs", 40, "--trials", 1, "--methods", "greedy",
+                   "--out", out) == EXIT_OK
+        assert drawn == [swept]
+        assert len(out.read_text().splitlines()) == 2
+
+    def test_no_case_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("bench", "--case", "1")
+        assert exc.value.code == EXIT_PARSE
+        assert "unrecognized arguments: --case 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trials_below_one(self, tmp_path, capsys, trials):
         # no trial would run, leaving a header-only CSV
         out = tmp_path / "bench.csv"
-        assert run("bench", "--case", "1", "--trials", trials, "--out", out) == EXIT_PARSE
+        assert run("bench", "--trials", trials, "--out", out) == EXIT_PARSE
         assert f"--trials must be at least 1, got {trials}" in capsys.readouterr().err
         assert not out.exists()
 
@@ -488,6 +512,31 @@ class TestCheck:
         doc["cost"] = doc["cost"] * 2 + 1.0
         res.write_text(json.dumps(doc))
         assert run("check", inp, "--result", res) == EXIT_CHECK_FAILED
+
+    @pytest.fixture
+    def infinite_cost_result(self, tmp_path):
+        # a greedy result whose stored cost reads Infinity
+        inp = synth(tmp_path, "set.json", "2,3", 8, 40, 10)
+        res = tmp_path / "res.json"
+        run("solve", inp, "--method", "greedy", "--seed", 10, "--out", res)
+        doc = json.loads(res.read_text())
+        doc["cost"] = float("inf")
+        res.write_text(json.dumps(doc))
+        assert "Infinity" in res.read_text()
+        return inp, res
+
+    def test_infinite_stored_cost_fails_against_finite(self, tmp_path, infinite_cost_result):
+        out = tmp_path / "check.json"
+        inp, res = infinite_cost_result
+        assert run("check", inp, "--result", res, "--out", out) == EXIT_CHECK_FAILED
+        assert json.loads(out.read_text())["cost"]["match"] is False
+
+    def test_equal_infinite_costs_match(self, tmp_path, monkeypatch, infinite_cost_result):
+        monkeypatch.setattr(gjbd.cli, "cost_ls", lambda a, p, w: float("inf"))
+        out = tmp_path / "check.json"
+        inp, res = infinite_cost_result
+        assert run("check", inp, "--result", res, "--out", out) == EXIT_OK
+        assert json.loads(out.read_text())["cost"]["match"] is True
 
     @pytest.mark.parametrize("params", [[1.2, None, 0.0, 11], {"gamma": "x"}, {"seed": "abc"},
                                         {"gamma": float("nan")}, {"gamma": float("inf")}],
