@@ -26,6 +26,11 @@ tridiagonal basis, with ``T`` shifted by a small multiple of the identity
 and refined.  A Rayleigh-Ritz SVD of ``K`` on the refined window (Golub &
 Van Loan, *Matrix Computations*) then gives the small singular values to
 the precision of a dense SVD.
+
+Both routes run on the set scaled once, by the power of two that brings its
+largest entry below 1, where :func:`delta_nullspace` and
+:func:`exact_nullspace` enter the kernel; only the reported singular values
+and threshold are scaled back.
 """
 
 from dataclasses import dataclass
@@ -96,6 +101,13 @@ class NullSpaceBasis:
     rank_cutoff : bool
         Whether ``delta`` is the numerical-rank cutoff, so that ``basis``
         spans the exact null space.
+
+    Every field is computed on the set scaled by a power of two to a
+    largest entry below 1; ``sigma`` and ``delta`` are then scaled back to
+    the caller's set, exactly wherever they are normal.  Past the float
+    range they round to inf or toward 0; ``dim`` is counted before that
+    rounding, and ``basis`` is the same for every power-of-two multiple of
+    a set.
     """
 
     delta: float
@@ -142,7 +154,9 @@ def _unit_scaled(a):
 
     ``K`` is linear in the ``A_i``: scaling them by a power of two, which is
     exact, keeps the squares in :func:`_gram` from overflowing or
-    underflowing.  Both callers of :func:`_gram` scale with it.
+    underflowing, and makes every near-null space a function of ``b``
+    alone.  Two callers: :func:`_near_null_basis`, the one entry of the
+    near-null kernel, and :func:`pair_grams`.
     """
     exponent = np.frexp(np.abs(a.mats).max())[1]
     return MatrixSet(np.ldexp(a.mats, -exponent)), exponent
@@ -163,7 +177,8 @@ def _gram(a):
 
     Two callers: :func:`_near_null_svd`, for the solvers' near-null spaces,
     and :func:`pair_grams`, which reads each block pair's Gram matrix from
-    a principal submatrix.
+    a principal submatrix.  Both pass a set scaled by :func:`_unit_scaled`,
+    whose squares neither overflow nor underflow.
     """
     n = a.n
     rows = a.mats.reshape(a.m * n, n)  # rows[(i, r), p] = A_i[r, p]
@@ -274,7 +289,9 @@ def _near_null_svd(a, threshold):
     """The largest and the smallest singular values of ``K`` and the right
     singular vectors of the smallest ones, as the thin SVD of the dense
     ``K`` (``tests/oracles.py``) gives them, without forming ``K`` from
-    ``n = 3`` on.
+    ``n = 3`` on, for a set scaled by :func:`_unit_scaled`: its only caller,
+    :func:`_near_null_basis`, scales on entry and reports at caller scale,
+    so neither route below has a scaling rule of its own.
 
     For ``n <= 2`` it is that thin SVD: ``K``, at most ``4m x 4``, is formed
     by applying it to the identity, and all ``n*n`` values and rows are
@@ -339,10 +356,8 @@ def _near_null_svd(a, threshold):
     """
     n2 = a.n * a.n
     if a.n <= _DENSE_MAX_ORDER:
-        # K is at most 4m x 4; LAPACK's SVD scales it into range itself
         _, sigma, vt = np.linalg.svd(_apply_k(a, np.eye(n2)), full_matrices=False)
         return sigma, vt
-    a, exponent = _unit_scaled(a)
     g = _gram(a)
     (lwork,) = _lapack("dsytrd_lwork", n2, lower=1)
     # G is symmetric, so its transpose is the same matrix in the column
@@ -359,8 +374,7 @@ def _near_null_svd(a, threshold):
     # 1e2 * n**2 * eps * lambda_max, above the rounding of T's eigenvalues,
     # about n**2 * eps * lambda_max, so T + shift I is positive definite
     shift = _STEP_SHIFT * resolution ** 2
-    estimate = threshold(np.ldexp(ends, exponent))
-    cut = max(resolution, np.ldexp(2.0 * estimate, -exponent))
+    cut = max(resolution, 2.0 * threshold(ends))
     # the lower end lies below every eigenvalue, even when G = 0
     window = _bisect(diag, offdiag, False, -lam_max - 1.0, cut * cut)
     if len(window[0]) < 2:
@@ -390,8 +404,8 @@ def _near_null_svd(a, threshold):
         # a Ritz value may pass the first root outside the window by rounding
         # when the two are nearly equal; both lie above twice the threshold,
         # so the values callers compare keep their rows
-        sigma = -np.sort(-np.ldexp(np.concatenate((head, tail)), exponent))
-        if k == n2 or np.ldexp(head[-1], exponent) > 2.0 * threshold(sigma):
+        sigma = -np.sort(-np.concatenate((head, tail)))
+        if k == n2 or head[-1] > 2.0 * threshold(sigma):
             break
         window = _bisect(diag, offdiag, True, 1, min(2 * k, n2))
     return sigma, rot @ v.T
@@ -415,10 +429,19 @@ def _delta_rule(a, gamma, sigma):
 
 def _near_null_basis(a, gamma):
     """The basis of :func:`delta_nullspace` for ``gamma``, or of
-    :func:`exact_nullspace` for ``gamma=None``."""
+    :func:`exact_nullspace` for ``gamma=None``.
+
+    The kernel's one scaling: ``a = 2**exponent * b`` with ``b`` from
+    :func:`_unit_scaled`.  The singular values, ``delta`` and the basis are
+    computed and counted on ``b``, and only ``sigma`` and ``delta`` are
+    scaled back, each by one ``ldexp``, which is exact wherever the result
+    is normal.  So the basis is the same for every power-of-two multiple of
+    a set.
+    """
     n = a.n
-    sigma, vt = _near_null_svd(a, lambda s: _delta_rule(a, gamma, s)[0])
-    delta, rank_cutoff = _delta_rule(a, gamma, sigma)
+    b, exponent = _unit_scaled(a)
+    sigma, vt = _near_null_svd(b, lambda s: _delta_rule(b, gamma, s)[0])
+    delta, rank_cutoff = _delta_rule(b, gamma, sigma)
     if sigma[0] == 0.0:
         # the operator vanishes; every direction is null
         count, delta = n * n, np.inf
@@ -426,7 +449,8 @@ def _near_null_basis(a, gamma):
         count = int(np.sum(sigma < delta))
     # vt holds the rows of the window only, the last len(vt) values of sigma
     basis = [vt[-(j + 1)].reshape((n, n), order="F") for j in range(count)]
-    return NullSpaceBasis(delta=float(delta), sigma=sigma, basis=basis, rank_cutoff=rank_cutoff)
+    return NullSpaceBasis(delta=float(np.ldexp(delta, exponent)), sigma=np.ldexp(sigma, exponent),
+                          basis=basis, rank_cutoff=rank_cutoff)
 
 
 def delta_nullspace(a, gamma):
@@ -439,6 +463,9 @@ def delta_nullspace(a, gamma):
     threshold falls back to a standard numerical-rank cutoff, which the
     returned basis records as ``rank_cutoff``.
 
+    The set is scaled by a power of two on entry, so the basis is the same
+    for every power-of-two multiple of ``a``; see :class:`NullSpaceBasis`.
+
     Parameters
     ----------
     a : MatrixSet
@@ -448,6 +475,13 @@ def delta_nullspace(a, gamma):
     Returns
     -------
     NullSpaceBasis
+
+    Raises
+    ------
+    ValueError
+        If ``gamma`` is not finite and > 1.
+    NumericalError
+        If a LAPACK routine of the near-null kernel reports a failure.
     """
     if not 1.0 < gamma < np.inf:
         raise ValueError("gamma must be finite and > 1")
@@ -455,7 +489,24 @@ def delta_nullspace(a, gamma):
 
 
 def exact_nullspace(a):
-    """Exact null space of the coupling equations, up to numerical rank."""
+    """Exact null space of the coupling equations, up to numerical rank.
+
+    Scaled on entry as in :func:`delta_nullspace`.
+
+    Parameters
+    ----------
+    a : MatrixSet
+
+    Returns
+    -------
+    NullSpaceBasis
+        With ``rank_cutoff`` true.
+
+    Raises
+    ------
+    NumericalError
+        If a LAPACK routine of the near-null kernel reports a failure.
+    """
     return _near_null_basis(a, None)
 
 

@@ -69,6 +69,11 @@ class SolverConfig:
 
     Exact mode takes only the seed and clusters with its own ``mu``; the
     conservative solver splits deterministically at the largest gap.
+
+    ``gamma``, ``mu`` and ``epsilon`` are stored as Python floats.  A value
+    outside the ranges above, one that ``float`` cannot take, or a seed that
+    ``np.random.SeedSequence`` rejects raises ``ValueError`` naming the
+    field.
     """
 
     gamma: float = 1.2
@@ -77,6 +82,15 @@ class SolverConfig:
     seed: object = 0
 
     def __post_init__(self):
+        for name in ("gamma", "epsilon") if self.mu is None else ("gamma", "mu", "epsilon"):
+            try:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{name} must be a float: {exc}") from exc
+        try:
+            np.random.SeedSequence(self.seed)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"seed must be an int or a sequence of ints >= 0: {exc}") from exc
         # written so that NaN fails every test
         if not 1.0 < self.gamma < np.inf:
             raise ValueError("gamma must be finite and > 1")
@@ -187,6 +201,16 @@ def greedy_solve(a, cfg=None):
     Returns
     -------
     Solution
+
+    Raises
+    ------
+    SchurConvergenceError
+        If the Schur iteration on the combined direction does not converge.
+    InseparableClustersError, DegenerateBlockBasisError
+        If the clusters cannot be decoupled, or a decoupled block's basis is
+        rank deficient.
+    NumericalError
+        If a LAPACK routine of the near-null kernel reports a failure.
     """
     return greedy_solve_with_trace(a, cfg)[0]
 
@@ -212,6 +236,13 @@ def exact_solve(a, seed=SolverConfig.seed):
     Returns
     -------
     Solution
+
+    Raises
+    ------
+    ValueError
+        If ``np.random.SeedSequence`` rejects ``seed``.
+    SchurConvergenceError, InseparableClustersError, DegenerateBlockBasisError, NumericalError
+        As for :func:`greedy_solve`.
     """
     return exact_solve_with_trace(a, seed)[0]
 
@@ -278,11 +309,15 @@ def one_step_split(a, gamma=SolverConfig.gamma):
 
     Raises
     ------
+    ValueError
+        If ``gamma`` is not finite and > 1.
     UnsplittableError
         If no admissible split exists, or the split at the largest gap cannot
         be decoupled; the decoupling error is then its ``__cause__``.
+    SchurConvergenceError
+        If the Schur iteration on the split direction does not converge.
     NumericalError
-        If the Schur form or the near-null kernel fails.
+        If a LAPACK routine of the near-null kernel reports a failure.
     """
     return one_step_split_with_trace(a, gamma)[0]
 
@@ -316,6 +351,14 @@ def conservative_solve(a, cfg=None):
     Returns
     -------
     Solution
+
+    Raises
+    ------
+    SchurConvergenceError
+        If the Schur iteration on a split direction does not converge.
+    NumericalError
+        If a LAPACK routine of the near-null kernel reports a failure.  A
+        split that cannot be decoupled only makes its block ineligible.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     n = a.n

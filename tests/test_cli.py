@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import gjbd.cli
+import gjbd.matkernels
 import gjbd.nullspace
 import gjbd.solvers
 from gjbd.cli import (
@@ -216,6 +217,32 @@ class TestSolve:
     def test_non_finite_parameter(self, tmp_path, option, value):
         inp = synth(tmp_path, "set.json", "2,3", 3, 40, 0)
         assert run("solve", inp, option, value) == EXIT_PARSE
+
+    @pytest.mark.parametrize("method", ["greedy", "consv", "exact"])
+    def test_negative_seed(self, tmp_path, capsys, method):
+        # SolverConfig rejects the seed before any solve, whichever method
+        # reads it
+        inp = synth(tmp_path, "set.json", "3,3,3", 4, 40, 0)
+        out = tmp_path / "res.json"
+        capsys.readouterr()
+        assert run("solve", inp, "--method", method, "--seed", -1, "--out", out) == EXIT_PARSE
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["greedy", "consv", "exact"])
+    def test_schur_failure_exit_code(self, tmp_path, capsys, monkeypatch, method):
+        # a Schur iteration that does not converge is a numerical failure;
+        # on an exact set every method reaches the Schur form
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("the QR iteration did not converge")
+
+        monkeypatch.setattr(gjbd.matkernels.scipy.linalg, "schur", failing)
+        inp = synth(tmp_path, "set.json", "3,3,3", 4, "inf", 0)
+        out = tmp_path / "res.json"
+        code = run("solve", inp, "--method", method, "--out", out)
+        assert code == EXIT_NUMERICAL
+        assert "Schur" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("method", ["greedy", "exact"])
     def test_inseparable_clusters_exit_code(self, tmp_path, capsys, monkeypatch, method):
@@ -539,8 +566,10 @@ class TestCheck:
         assert json.loads(out.read_text())["cost"]["match"] is True
 
     @pytest.mark.parametrize("params", [[1.2, None, 0.0, 11], {"gamma": "x"}, {"seed": "abc"},
-                                        {"gamma": float("nan")}, {"gamma": float("inf")}],
-                             ids=["list", "gamma-string", "seed-string", "gamma-nan", "gamma-inf"])
+                                        {"gamma": float("nan")}, {"gamma": float("inf")},
+                                        {"seed": -1}],
+                             ids=["list", "gamma-string", "seed-string", "gamma-nan", "gamma-inf",
+                                  "seed-negative"])
     def test_malformed_parameters(self, tmp_path, capsys, params):
         inp = synth(tmp_path, "set.json", "2,3", 8, 40, 11)
         res = tmp_path / "res.json"

@@ -6,6 +6,7 @@ import gjbd.matkernels
 from gjbd.matkernels import (
     DegenerateBlockBasisError,
     InseparableClustersError,
+    SchurConvergenceError,
     block_diagonalize_similarity,
     economic_qr,
     largest_principal_angle,
@@ -99,6 +100,17 @@ class TestRealSchurOrdered:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             real_schur_ordered(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_failed_iteration_raises_schur_convergence_error(self, monkeypatch):
+        failure = np.linalg.LinAlgError("the QR iteration did not converge")
+
+        def failing(*args, **kwargs):
+            raise failure
+
+        monkeypatch.setattr(scipy.linalg, "schur", failing)
+        with pytest.raises(SchurConvergenceError) as info:
+            real_schur_ordered(np.diag([3.0, 1.0, 2.0]))
+        assert info.value.__cause__ is failure
 
 
 class TestBlockDiagonalizeSimilarity:

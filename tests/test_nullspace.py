@@ -23,7 +23,7 @@ from gjbd.nullspace import (
     trace_gram,
 )
 from gjbd.partition import Partition
-from gjbd.solvers import SolverConfig, conservative_solve, greedy_solve
+from gjbd.solvers import SolverConfig, conservative_solve, exact_solve, greedy_solve
 from oracles import build_stacked_operator, nonunique_example, perfect_shuffle, residual
 
 
@@ -504,6 +504,35 @@ class TestDeltaNullspace:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * n2 * n2 * 8
+
+
+class TestPowerOfTwoScaling:
+    """The kernel scales a set once, at its entry, to a largest entry below
+    1, so a power-of-two multiple of a set gets the same basis to the bit,
+    at every order and up to the ends of the float range."""
+
+    def test_near_overflow_keeps_dimensions_and_answers(self):
+        a = generate_model(Partition((3, 3, 3)), 4, 40.0, 0).a
+        big = MatrixSet(np.ldexp(a.mats, 1018))  # largest entry 4.8e307
+        # sigma_max and greedy's cost overflow to inf; the counts do not
+        with np.errstate(over="ignore"):
+            got = (delta_nullspace(big, 1.2), exact_nullspace(big))
+            greedy, exact = greedy_solve(big), exact_solve(big)
+        assert [b.dim for b in got] == [2, 1]
+        for b, want in zip(got, (delta_nullspace(a, 1.2), exact_nullspace(a))):
+            assert [z.tobytes() for z in b.basis] == [z.tobytes() for z in want.basis]
+        assert greedy.partition.sizes == (3, 3, 3) and exact.partition.sizes == (9,)
+        assert greedy.w.tobytes() == greedy_solve(a).w.tobytes()
+        assert exact.w.tobytes() == exact_solve(a).w.tobytes()
+
+    @pytest.mark.parametrize("sizes, k", [((3, 3, 3), -1045), ((1, 1), -1029)])
+    def test_subnormal_set_keeps_the_identity(self, sizes, k):
+        # every entry is subnormal; the identity solves the equations of
+        # any set exactly, so the exact null space holds it
+        a = MatrixSet(np.ldexp(generate_model(Partition(sizes), 4, 40.0, 0).a.mats, k))
+        assert np.abs(a.mats).max() < np.finfo(float).tiny
+        b = exact_nullspace(a)
+        assert b.dim >= 1 and spans_identity(b)
 
 
 def reporting_failure(routine):

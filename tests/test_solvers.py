@@ -509,6 +509,28 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
+    def test_stores_floats(self):
+        cfg = SolverConfig(gamma=2, mu=np.float64(0.25), epsilon=np.float32(0.5))
+        assert [type(v) for v in (cfg.gamma, cfg.mu, cfg.epsilon)] == [float] * 3
+
+    @pytest.mark.parametrize("field", ["gamma", "mu", "epsilon"])
+    def test_rejects_what_float_cannot_take(self, field):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: 10 ** 400})
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, (3, -1), "abc"])
+    def test_rejects_a_seed_seed_sequence_rejects(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            SolverConfig(seed=seed)
+
+    def test_numpy_epsilon_past_float_range_square_root(self):
+        # np.float64(1e200) ** 2 overflows with a RuntimeWarning, which the
+        # tests make an error; stored as a float, it is an infinite tolerance
+        a = generate_model(Partition((3, 3, 3)), 20, 40.0, 0).a
+        got = conservative_solve(a, SolverConfig(epsilon=np.float64(1e200)))
+        want = conservative_solve(a, SolverConfig(epsilon=np.inf))
+        assert got.partition == want.partition and got.w.tobytes() == want.w.tobytes()
+
 
 _ENTRY_POINTS = {
     "greedy": lambda a, seed, eps: greedy_solve(a, SolverConfig(seed=seed)),
