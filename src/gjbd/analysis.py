@@ -72,7 +72,8 @@ def cost_ls(a, p, w):
     Zero exactly when every congruence-transformed matrix is block diagonal
     under ``p``.  The off-block entries are summed directly; the total minus
     the block diagonal part would lose a small cost, such as that of an
-    exact solve, to cancellation.
+    exact solve, to cancellation.  A cost past the float range is inf, without
+    a numpy overflow warning.
 
     Raises
     ------
@@ -84,7 +85,8 @@ def cost_ls(a, p, w):
     if w.shape != (a.n, a.n) or p.n != a.n:
         raise ValueError(f"partition of order {p.n} and w of shape {w.shape} do not "
                          f"match the matrix set of order {a.n}")
-    return float(np.sum((w.T @ a.mats @ w)[:, ~p.mask] ** 2))
+    with np.errstate(over="ignore"):
+        return float(np.sum((w.T @ a.mats @ w)[:, ~p.mask] ** 2))
 
 
 def _bases_by_size(m, p, orthonormalize):

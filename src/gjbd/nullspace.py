@@ -14,11 +14,13 @@ near-defective sets that the route answers, greedy then meets clusters it
 cannot decouple; so the dense route stops at ``n = 2``.
 
 From ``n = 3`` on the solvers never form ``K``.  They assemble its Gram
-matrix ``G = K.T K`` from the structure of the ``A_i`` in ``O(m n**4)`` and
-reduce it in place to tridiagonal form ``T = Q.T G Q`` once.  Bisection on
-``T`` gives only the few eigenvalues of ``G`` that are read: the largest,
-the lowest, which choose a window, and the first above the window.  Only
-the window's eigenvectors of ``T`` are computed, by inverse iteration.
+matrix ``G = K.T K`` from the structure of the ``A_i`` in ``O(m n**4)``, by
+one stacked matrix product into the only ``n**2 x n**2`` array of the
+route, and reduce it there to tridiagonal form ``T = Q.T G Q`` once.
+Bisection on ``T`` gives only the few eigenvalues of ``G`` that are read:
+the largest, the lowest, which choose a window, and the first above the
+window.  Only the window's eigenvectors of ``T`` are computed, by inverse
+iteration.
 They are refined by one corrected semi-normal step (Bjorck, *Numerical
 Methods for Least Squares Problems*, 1996), which applies ``K`` and ``K.T``
 as ``A_i Z - Z.T A_i`` and ``A_i.T Y - A_i Y.T`` and solves in the
@@ -71,8 +73,10 @@ class MatrixSet:
         return self.mats.shape[1]
 
     def total_sq_norm(self):
-        """Sum of squared Frobenius norms, the natural cost scale."""
-        return float(np.sum(self.mats ** 2))
+        """Sum of squared Frobenius norms, the natural cost scale; inf past
+        the float range, without a numpy overflow warning."""
+        with np.errstate(over="ignore"):
+            return float(np.sum(self.mats ** 2))
 
 
 @dataclass(frozen=True)
@@ -105,9 +109,9 @@ class NullSpaceBasis:
     Every field is computed on the set scaled by a power of two to a
     largest entry below 1; ``sigma`` and ``delta`` are then scaled back to
     the caller's set, exactly wherever they are normal.  Past the float
-    range they round to inf or toward 0; ``dim`` is counted before that
-    rounding, and ``basis`` is the same for every power-of-two multiple of
-    a set.
+    range they round to inf, without a numpy overflow warning, or toward 0;
+    ``dim`` is counted before that rounding, and ``basis`` is the same for
+    every power-of-two multiple of a set.
     """
 
     delta: float
@@ -171,26 +175,28 @@ def _gram(a):
     ``K``: column ``(q, p)``, index ``q * n + p``, weighs ``Z[p, q]``, the
     column-major ``vec(Z)`` in which :func:`_near_null_basis` reshapes.
 
-    ``C`` and ``C.T`` are read as strided views of one product of the
-    ``A_i``, and their sum is written into the output, so at most two
-    ``n**2 x n**2`` arrays are alive.
+    Row block ``c`` of ``-(C + C.T)``, laid out as ``[(p, r), s]``, is the
+    product of the ``n**2 x 2m`` matrix ``-[A_i[r, p] | A_i[p, r]]`` with
+    the ``2m x n`` matrix ``[A_i[s, c] ; A_i[c, s]]``, so one stacked
+    matmul writes ``-(C + C.T)`` into the output, the only ``n**2 x n**2``
+    array, and ``I kron S`` is added to its diagonal blocks.
 
     Two callers: :func:`_near_null_svd`, for the solvers' near-null spaces,
     and :func:`pair_grams`, which reads each block pair's Gram matrix from
     a principal submatrix.  Both pass a set scaled by :func:`_unit_scaled`,
     whose squares neither overflow nor underflow.
     """
-    n = a.n
-    rows = a.mats.reshape(a.m * n, n)  # rows[(i, r), p] = A_i[r, p]
-    cols = a.mats.transpose(1, 0, 2).reshape(n, a.m * n)  # cols[p, (i, r)] = A_i[p, r]
+    n, m = a.n, a.m
+    rows = a.mats.reshape(m * n, n)  # rows[(i, r), p] = A_i[r, p]
+    cols = a.mats.transpose(1, 0, 2).reshape(n, m * n)  # cols[p, (i, r)] = A_i[p, r]
     s = rows.T @ rows + cols @ cols.T
-    flat = a.mats.reshape(a.m, n * n)
-    # pairs[r, p, s, c] = sum_i A_i[r, p] A_i[s, c]
-    pairs = (flat.T @ flat).reshape(n, n, n, n)
+    # left[(p, r), i] = -A_i[r, p] and left[(p, r), m + i] = -A_i[p, r]
+    left = -np.concatenate((a.mats.transpose(2, 1, 0), a.mats.transpose(1, 2, 0)), axis=2)
+    # right[c, i, s] = A_i[s, c] and right[c, m + i, s] = A_i[c, s]
+    right = np.concatenate((a.mats.transpose(2, 0, 1), a.mats.transpose(1, 0, 2)), axis=1)
     g = np.empty((n * n, n * n))
-    # C as [c, p, r, s] is pairs[r, p, s, c], and C.T is pairs[c, s, p, r]
-    np.add(pairs.transpose(3, 1, 0, 2), pairs.transpose(0, 2, 3, 1), out=g.reshape(n, n, n, n))
-    np.negative(g, out=g)
+    # g as [c, (p, r), s] is -(C + C.T)[(c, p), (r, s)]
+    np.matmul(left.reshape(n * n, 2 * m), right, out=g.reshape(n, n * n, n))
     diag = np.arange(n)
     g.reshape(n, n, n, n)[diag, :, diag, :] += s  # I kron S
     return g
@@ -271,16 +277,20 @@ def _bisect(diag, offdiag, by_index, low, high):
     return w[:m], iblock, isplit
 
 
-def _apply_q(reflectors, tau, x, trans="N"):
+def _apply_q(refl, tau, x, trans="N"):
     """``Q @ x``, or ``Q.T @ x`` for ``trans="T"``, for the ``Q`` of a
     ``dsytrd`` reduction (lower) of order ``N`` and ``x`` of shape
     ``(N, k)``.
 
     ``Q = H(1) ... H(N - 1)`` leaves row 0 alone, and on rows ``1:`` it is
-    the ``Q`` of a QR factorization: ``reflectors``, rows ``1:`` and
-    columns ``:-1`` of what ``dsytrd`` returns, in column order, and
-    ``tau`` define it for ``dormqr``.
+    the ``Q`` of a QR factorization whose reflectors ``dsytrd`` stored
+    below the subdiagonal of ``refl``, its output in column order.  As in
+    LAPACK's ``dormtr``, which scipy does not wrap, ``dormqr`` reads them in
+    place: from the view of ``refl`` that starts at ``refl[1, 0]`` with
+    leading dimension ``N``, so no copy of the ``N x N`` array is made.
     """
+    n2 = refl.shape[0]
+    reflectors = refl.ravel(order="F")[1:1 + n2 * (n2 - 1)].reshape((n2, n2 - 1), order="F")
     rows, _ = _lapack("dormqr", "L", trans, reflectors, tau, x[1:], x.shape[1])
     return np.concatenate((x[:1], rows))
 
@@ -317,11 +327,10 @@ def _near_null_svd(a, threshold):
     basis, where ``Y`` spans the window of ``T``: with ``P = I - Y Y.T`` and
     ``b = P Q.T K.T (K V)``, ``x = P inv(T) b`` off the window is summed
     from ``_STEP_SOLVES`` solves with ``T + shift I`` (``dptsv``), and
-    ``V <- qr(Q (Y - x))``; ``Q`` is applied by ``dormqr`` with the stored
-    reflectors.  ``G`` is not read after the reduction, so at most two
-    ``n**2 x n**2`` arrays are alive at once: ``G`` and the product
-    :func:`_gram` forms it from, then ``G`` reduced in place and a copy of
-    its reflectors.
+    ``V <- qr(Q (Y - x))``; ``Q`` is applied by ``dormqr`` with the
+    reflectors that ``dsytrd`` stored in ``G``'s buffer.  So one
+    ``n**2 x n**2`` array is alive: :func:`_gram` writes ``G`` into it, and
+    ``dsytrd`` reduces it in place.
 
     The SVD of ``K V`` then gives the tail of the spectrum and its right
     vectors.  Should the first root outside the
@@ -363,9 +372,6 @@ def _near_null_svd(a, threshold):
     # G is symmetric, so its transpose is the same matrix in the column
     # order in which dsytrd reduces it in place
     refl, diag, offdiag, tau = _lapack("dsytrd", g.T, lower=1, lwork=int(lwork), overwrite_a=1)
-    # the reflectors in the layout dormqr reads; G is not read again
-    reflectors = np.asfortranarray(refl[1:, :-1])
-    del g, refl
     lam_max = _bisect(diag, offdiag, True, n2, n2)[0][0]
     lowest = _bisect(diag, offdiag, True, 1, 2)
     # sigma_max and the two lowest roots, all that the threshold reads
@@ -383,8 +389,8 @@ def _near_null_svd(a, threshold):
         k = len(window[0])
         (y,) = _lapack("dstein", diag, offdiag, *window)
         if k < n2:
-            kv = _apply_k(a, _apply_q(reflectors, tau, y))
-            b = _apply_q(reflectors, tau, _apply_kt(a, kv), "T")
+            kv = _apply_k(a, _apply_q(refl, tau, y))
+            b = _apply_q(refl, tau, _apply_kt(a, kv), "T")
             b -= y @ (y.T @ b)
             # x = sum_j inv(T + shift I) (shift inv(T + shift I))**j b
             x = np.zeros_like(b)
@@ -394,9 +400,9 @@ def _near_null_svd(a, threshold):
                 x += b
                 b *= shift
             x -= y @ (y.T @ x)
-            v, _ = np.linalg.qr(_apply_q(reflectors, tau, y - x))
+            v, _ = np.linalg.qr(_apply_q(refl, tau, y - x))
         else:
-            v = _apply_q(reflectors, tau, y)
+            v = _apply_q(refl, tau, y)
         _, tail, rot = np.linalg.svd(_apply_k(a, v), full_matrices=False)
         # eigenvalue k + 1, the first outside the window
         lam_next = lam_max if k + 1 >= n2 else _bisect(diag, offdiag, True, k + 1, k + 1)[0][0]
@@ -435,8 +441,9 @@ def _near_null_basis(a, gamma):
     :func:`_unit_scaled`.  The singular values, ``delta`` and the basis are
     computed and counted on ``b``, and only ``sigma`` and ``delta`` are
     scaled back, each by one ``ldexp``, which is exact wherever the result
-    is normal.  So the basis is the same for every power-of-two multiple of
-    a set.
+    is normal and gives inf past the float range, without a numpy overflow
+    warning.  So the basis is the same for every power-of-two multiple of a
+    set.
     """
     n = a.n
     b, exponent = _unit_scaled(a)
@@ -449,8 +456,9 @@ def _near_null_basis(a, gamma):
         count = int(np.sum(sigma < delta))
     # vt holds the rows of the window only, the last len(vt) values of sigma
     basis = [vt[-(j + 1)].reshape((n, n), order="F") for j in range(count)]
-    return NullSpaceBasis(delta=float(np.ldexp(delta, exponent)), sigma=np.ldexp(sigma, exponent),
-                          basis=basis, rank_cutoff=rank_cutoff)
+    with np.errstate(over="ignore"):  # past the float range, inf
+        delta, sigma = float(np.ldexp(delta, exponent)), np.ldexp(sigma, exponent)
+    return NullSpaceBasis(delta=delta, sigma=sigma, basis=basis, rank_cutoff=rank_cutoff)
 
 
 def delta_nullspace(a, gamma):

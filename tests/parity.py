@@ -19,12 +19,13 @@ into the true ones), the cost and a SHA-256 hash of ``W``, or the error a
 solve raised.
 
 ``compare`` counts the answers whose ordered partition changed and those
-whose block multiset changed, lists the latter, and gives per method the
-number of answers with the same partition whose ``W`` is byte-identical,
-the number whose performance index is bit-identical (two nulls count as
-equal) and the largest change of the performance index among them.  It reads
-only the two files, and like ``cmp`` it exits 1 when any ordered
-partition, error or ``W`` hash differs, else 0.
+whose block multiset changed, lists the latter and counts them by method
+and SNR, and gives per method the number of answers with the same
+partition whose ``W`` is byte-identical, the number whose performance index
+is bit-identical (two nulls count as equal) and the largest change of the
+performance index among them.  It reads only the two files, and like
+``cmp`` it exits 1 when any ordered partition, error or ``W`` hash
+differs, else 0.
 The file name keeps pytest from collecting it.
 """
 
@@ -102,10 +103,13 @@ def key(record):
     return (record["method"], tuple(record["sizes"]), record["m"], record["snr"], record["seed"])
 
 
+def snr_label(record):
+    return "exact" if record["snr"] is None else f"{record['snr']:g} dB"
+
+
 def label(record):
-    snr = "exact" if record["snr"] is None else f"{record['snr']:g} dB"
     sizes = ",".join(map(str, record["sizes"]))
-    return f"{record['method']} ({sizes}) m={record['m']} {snr} seed {record['seed']}"
+    return f"{record['method']} ({sizes}) m={record['m']} {snr_label(record)} seed {record['seed']}"
 
 
 def solve(path):
@@ -126,6 +130,8 @@ def compare(before_path, after_path):
     if before.keys() != after.keys():
         raise SystemExit("error: the two files hold different parity sets")
     ordered, multiset, pi_moves = [], [], {}
+    # per method, per SNR: changed block multisets
+    multiset_by_snr = {}
     # per method: identical W, identical PI, same partition
     same_w, same_pi, kept = Counter(), Counter(), Counter()
     for k, old in before.items():
@@ -136,6 +142,8 @@ def compare(before_path, after_path):
             sort = [sorted(g) if isinstance(g, list) else g for g in got]
             if sort[0] != sort[1]:
                 multiset.append(f"{label(old)}: {got[0]} -> {got[1]}")
+                by_snr = multiset_by_snr.setdefault(k[0], Counter())
+                by_snr[snr_label(old)] += 1
         elif "error" not in old:
             if old["pi"] is not None:
                 moves = pi_moves.setdefault(k[0], [])
@@ -148,6 +156,7 @@ def compare(before_path, after_path):
           f"{len(multiset)} block multisets changed, {sum(same_w.values())} W byte-identical")
     by_method = Counter(k[0] for k in ordered)
     print("ordered changes by method:", json.dumps(by_method, sort_keys=True))
+    print("multiset changes by method and SNR:", json.dumps(multiset_by_snr, sort_keys=True))
     for line in multiset:
         print("multiset change:", line)
     for method in sorted(kept):

@@ -28,13 +28,13 @@ ANSWERS = [
 ]
 
 
-def run_compare(compare, tmp_path, edit=None):
-    # compare ANSWERS against the copy of them that edit changes in place
-    after = copy.deepcopy(ANSWERS)
+def run_compare(compare, tmp_path, edit=None, answers=ANSWERS):
+    # compare answers against the copy of them that edit changes in place
+    after = copy.deepcopy(answers)
     if edit is not None:
         edit(after)
     paths = tmp_path / "before.json", tmp_path / "after.json"
-    for path, records in zip(paths, (ANSWERS, after)):
+    for path, records in zip(paths, (answers, after)):
         path.write_text(json.dumps({"answers": records}))
     return compare(*paths)
 
@@ -44,11 +44,19 @@ def multiset_lines(capsys):
             if line.startswith("multiset change:")]
 
 
+def multisets_by_snr(out):
+    # the counts on the one "multiset changes by method and SNR" line
+    (line,) = [line for line in out.splitlines()
+               if line.startswith("multiset changes by method and SNR: ")]
+    return json.loads(line.split(": ", 1)[1])
+
+
 def test_identical_files_pass(compare, tmp_path, capsys):
     assert run_compare(compare, tmp_path) == 0
     out = capsys.readouterr().out
     assert "3 answers: 0 ordered partitions changed, 0 block multisets changed, " \
            "2 W byte-identical" in out
+    assert multisets_by_snr(out) == {}
 
 
 def test_changed_w_hash_fails(compare, tmp_path):
@@ -73,6 +81,20 @@ def test_changed_multiset_fails_and_is_listed(compare, tmp_path, capsys):
     assert run_compare(compare, tmp_path, edit) == 1
     assert multiset_lines(capsys) == [
         "multiset change: greedy (1,2,3) m=20 40 dB seed 0: [1, 2, 3] -> [3, 3]"]
+
+
+def test_multiset_changes_are_counted_by_method_and_snr(compare, tmp_path, capsys):
+    # two changes at 40 dB and exact mode's error gone; consv unchanged
+    def edit(after):
+        after[0]["partition"] = [3, 3]
+        del after[2]["error"]
+        after[2].update(partition=[4], pi=None, cost=0.0, w_sha256="dd")
+        after[3]["partition"] = [6]
+
+    answers = [*ANSWERS, {**ANSWERS[0], "seed": 5}]
+    assert run_compare(compare, tmp_path, edit, answers) == 1
+    assert multisets_by_snr(capsys.readouterr().out) == {"exact": {"exact": 1},
+                                                        "greedy": {"40 dB": 2}}
 
 
 def test_error_in_place_of_a_partition_is_listed(compare, tmp_path, capsys):
