@@ -7,7 +7,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matkernels import _largest_angle, _orthonormal_basis, _sep_stacked, economic_qr
-from .nullspace import MatrixSet, basis_excluding_identity, exact_nullspace, pair_grams
+from .nullspace import (
+    MatrixSet,
+    _unit_scaled,
+    basis_excluding_identity,
+    exact_nullspace,
+    pair_grams,
+)
 
 _REL_SLACK = 1e-8
 
@@ -170,17 +176,16 @@ def performance_index(v_inv, w, p_true, p_hat):
     Raises
     ------
     ValueError
-        When the shapes of ``v_inv``, ``w`` and ``p_true`` disagree; when a
-        block of ``v_inv`` or ``w`` is numerically rank deficient, whatever
-        the search reaches; and when a group of several recovered blocks
-        that the search scores spans fewer dimensions than it has columns.
+        When the shapes of ``v_inv`` and ``w`` and the orders of ``p_true``
+        and ``p_hat`` disagree; when a block of ``v_inv`` or ``w`` is
+        numerically rank deficient, whatever the search reaches; and when a
+        group of several recovered blocks that the search scores spans fewer
+        dimensions than it has columns.
     """
     v_inv = np.asarray(v_inv, dtype=float)
     w = np.asarray(w, dtype=float)
-    if v_inv.shape != w.shape or v_inv.shape[0] != p_true.n:
+    if v_inv.shape != w.shape or not v_inv.shape[0] == p_true.n == p_hat.n:
         raise ValueError("dimension mismatch between v_inv, w and partitions")
-    if p_hat.n != p_true.n:
-        return None
     hat_slices = p_hat.slices()
     true_bases = _bases_by_size(v_inv, p_true, _orthonormal_basis)
     hat_bases = _bases_by_size(w, p_hat, _orthonormal_basis)
@@ -350,12 +355,20 @@ def verify_imag_bound(a, z, delta):
 
     Eigenpairs whose denominator vanishes are reported as inapplicable.
 
+    Each denominator and ``delta`` are taken on the set scaled by a power of
+    two as the near-null kernel scales it (:func:`gjbd.nullspace._unit_scaled`).
+    That scaling is exact and cancels in the right-hand side, so ``rhs`` is
+    the given set's, also where its squares pass the float range.  The
+    reported denominator is at the given scale, inf past the float range.
+
     Returns
     -------
     list of BoundReport
     """
     z = np.asarray(z, dtype=float)
     z_norm = float(np.linalg.norm(z))
+    b, exponent = _unit_scaled(a)
+    delta_b = np.ldexp(float(delta), -exponent)
     evals, evecs = np.linalg.eig(z)
     reports = []
     for idx in range(evals.size):
@@ -363,7 +376,9 @@ def verify_imag_bound(a, z, delta):
         x = evecs[:, idx]
         # one stacked product per eigenvector; a product over all of them at
         # once would sum in another order
-        denom = float(sum(abs(np.vdot(x, ax)) ** 2 for ax in a.mats @ x))
+        denom_b = float(sum(abs(np.vdot(x, bx)) ** 2 for bx in b.mats @ x))
+        with np.errstate(over="ignore"):
+            denom = float(np.ldexp(denom_b, 2 * exponent))
         lhs = float(abs(lam - np.conj(lam)))
         components = {
             "eigenvalue": complex(lam),
@@ -371,11 +386,11 @@ def verify_imag_bound(a, z, delta):
             "delta": float(delta),
             "z_frobenius": z_norm,
         }
-        if denom == 0.0:
+        if denom_b == 0.0:
             reports.append(_upper_report(lhs, np.inf, components, applicable=False))
             continue
         # from |lam - conj(lam)|**2 * denom <= delta**2 * ||z||_F**2
-        rhs = delta * z_norm / np.sqrt(denom)
+        rhs = delta_b * z_norm / np.sqrt(denom_b)
         reports.append(_upper_report(lhs, rhs, components))
     return reports
 

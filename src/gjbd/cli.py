@@ -297,26 +297,16 @@ def _bound_reports(bounds_doc, prefix, a, solution, trace):
 def _load_parameters(params, path):
     """The SolverConfig of a result's stored ``parameters``.
 
-    ``gamma`` is a number, ``mu`` and ``epsilon`` are numbers or null, and
-    ``seed`` is an int or a list of ints: `gjbd solve` stores an int, the
-    benchmark's result files a list.  The values must also pass
-    SolverConfig's own checks (a NaN or infinite ``gamma`` does not).
+    A field that is missing or null takes SolverConfig's default; every other
+    value is judged by SolverConfig alone, so a JSON bool or string, or a
+    seed that is not an int or a list of ints, is rejected.
     """
     if not isinstance(params, dict):
         raise InputError(f"{path}: parameters must be an object")
-    gamma = params.get("gamma", SolverConfig.gamma)
-    seed = params.get("seed", SolverConfig.seed)
-    # a missing or null mu or epsilon takes SolverConfig's default
-    given = {key: params[key] for key in ("mu", "epsilon") if params.get(key) is not None}
-    if not _is_number(gamma):
-        raise InputError(f"{path}: parameters.gamma must be a number")
-    for key, value in given.items():
-        if not _is_number(value):
-            raise InputError(f"{path}: parameters.{key} must be a number or null")
-    if not (_is_int(seed) or isinstance(seed, list) and all(map(_is_int, seed))):
-        raise InputError(f"{path}: parameters.seed must be an int or a list of ints")
+    given = {f.name: params[f.name] for f in dataclasses.fields(SolverConfig)
+             if params.get(f.name) is not None}
     try:
-        return SolverConfig(gamma=gamma, seed=seed, **given)
+        return SolverConfig(**given)
     except ValueError as exc:
         raise InputError(f"{path}: parameters: {exc}") from exc
 

@@ -70,10 +70,18 @@ class SolverConfig:
     Exact mode takes only the seed and clusters with its own ``mu``; the
     conservative solver splits deterministically at the largest gap.
 
-    ``gamma``, ``mu`` and ``epsilon`` are stored as Python floats.  A value
-    outside the ranges above, one that ``float`` cannot take, or a seed that
-    ``np.random.SeedSequence`` rejects raises ``ValueError`` naming the
-    field.
+    ``gamma``, ``mu`` and ``epsilon`` are stored as Python floats.  The
+    seed is the only source of the solvers' randomness, so a solve is
+    repeated by its seed alone.
+
+    Raises
+    ------
+    ValueError
+        Naming the field: for a ``gamma``, ``mu`` or ``epsilon`` outside the
+        ranges above, a bool or a string, or one that ``float`` cannot take;
+        for a seed that is not an int or a list or tuple of ints (numpy
+        integers count; None, bools, floats and nested lists do not), or
+        that ``np.random.SeedSequence`` rejects, such as a negative int.
     """
 
     gamma: float = 1.2
@@ -83,10 +91,16 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("gamma", "epsilon") if self.mu is None else ("gamma", "mu", "epsilon"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_, str, bytes)):
+                raise ValueError(f"{name} must be a float, got {value!r}")
             try:
-                object.__setattr__(self, name, float(getattr(self, name)))
+                object.__setattr__(self, name, float(value))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{name} must be a float: {exc}") from exc
+        seeds = self.seed if isinstance(self.seed, (list, tuple)) else [self.seed]
+        if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) for s in seeds):
+            raise ValueError(f"seed must be an int or a list of ints, got {self.seed!r}")
         try:
             np.random.SeedSequence(self.seed)
         except (TypeError, ValueError) as exc:
@@ -204,6 +218,10 @@ def greedy_solve(a, cfg=None):
 
     Raises
     ------
+    ValueError
+        Never for ``cfg``: :class:`SolverConfig` judged its fields when it
+        was built, so ``cfg.seed`` is an int >= 0 or a list or tuple of
+        them, never None.
     SchurConvergenceError
         If the Schur iteration on the combined direction does not converge.
     InseparableClustersError, DegenerateBlockBasisError
@@ -240,7 +258,9 @@ def exact_solve(a, seed=SolverConfig.seed):
     Raises
     ------
     ValueError
-        If ``np.random.SeedSequence`` rejects ``seed``.
+        If ``seed`` is not an int >= 0 or a list or tuple of them, as
+        :class:`SolverConfig` judges it: None, a bool, a float or a nested
+        list is rejected.
     SchurConvergenceError, InseparableClustersError, DegenerateBlockBasisError, NumericalError
         As for :func:`greedy_solve`.
     """

@@ -219,6 +219,13 @@ class TestPerformanceIndex:
         with pytest.raises(ValueError):
             performance_index(np.eye(3), np.eye(4), Partition((3,)), Partition((4,)))
 
+    @pytest.mark.parametrize("p_hat", [Partition((2,)), Partition((3, 3))], ids=["smaller", "larger"])
+    def test_rejects_recovered_partition_of_another_order(self, p_hat):
+        # a None here would read as a wrong answer, not a wrong call
+        v_inv = np.random.default_rng(9).standard_normal((4, 4))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            performance_index(v_inv, np.eye(4), Partition((2, 2)), p_hat)
+
     def test_one_basis_per_true_block(self, monkeypatch):
         # each true and each recovered block is orthonormalized once, up
         # front, and each scored group once; each (true block, group) angle

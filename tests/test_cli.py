@@ -430,6 +430,25 @@ class TestCheck:
         assert rep["equivalence"] == {"all_equivalent": True, "singular_pairs": [],
                                       "per_block_spectra_ok": True}
 
+    @pytest.mark.parametrize("method", ["exact", "greedy"])
+    def test_imag_bounds_past_the_float_range(self, tmp_path, method):
+        # squared inner products of the set times 2**664 pass the float
+        # range; the imaginary-part bounds are those of the unscaled set
+        inst = generate_model(Partition((2, 2, 2)), 4, np.inf, 0)
+        reports = {}
+        for k in (0, 664):
+            inp = tmp_path / f"set-{k}.json"
+            inp.write_text(json.dumps(matrix_set_document(MatrixSet(np.ldexp(inst.a.mats, k)))))
+            res = tmp_path / f"res-{k}.json"
+            assert run("solve", inp, "--method", method, "--out", res) == EXIT_OK
+            out = tmp_path / f"check-{k}.json"
+            assert run("check", inp, "--result", res, "--bounds", "--out", out) == EXIT_OK
+            bounds = json.loads(out.read_text())["bounds"]
+            reports[k] = [(r["lhs"], r["rhs"], r["satisfied"])
+                          for r in bounds["imag"] + bounds["split_imag"]]
+        assert len(reports[0]) == 12 and all(ok for _, _, ok in reports[0])
+        assert reports[664] == reports[0]
+
     def test_exact_result_passes_every_check(self, tmp_path):
         # the benchmark's exact-diagnose run of check on every instance
         inp = synth(tmp_path, "set.json", "2,2,2,2", 4, "inf", 0)
@@ -567,9 +586,13 @@ class TestCheck:
 
     @pytest.mark.parametrize("params", [[1.2, None, 0.0, 11], {"gamma": "x"}, {"seed": "abc"},
                                         {"gamma": float("nan")}, {"gamma": float("inf")},
-                                        {"seed": -1}],
+                                        {"seed": -1}, {"seed": [1, True]}, {"seed": True},
+                                        {"seed": 11.0}, {"seed": [[1]]}, {"gamma": "1.5"},
+                                        {"gamma": 10 ** 400}, {"epsilon": True}],
                              ids=["list", "gamma-string", "seed-string", "gamma-nan", "gamma-inf",
-                                  "seed-negative"])
+                                  "seed-negative", "seed-list-with-bool", "seed-bool",
+                                  "seed-float", "seed-nested-list", "gamma-numeric-string",
+                                  "gamma-past-float-range", "epsilon-bool"])
     def test_malformed_parameters(self, tmp_path, capsys, params):
         inp = synth(tmp_path, "set.json", "2,3", 8, 40, 11)
         res = tmp_path / "res.json"
@@ -581,6 +604,23 @@ class TestCheck:
         assert run("check", inp, "--result", res, "--bounds") == EXIT_PARSE
         err = capsys.readouterr().err
         assert "error:" in err and "parameters" in err
+
+    def test_null_parameters_take_the_defaults(self, tmp_path):
+        # one rule for every field: missing or null takes SolverConfig's
+        # default, here gamma 1.2 and seed 0, so the re-solve is that of
+        # a result written with those values
+        inp = synth(tmp_path, "set.json", "2,3", 8, 40, 11)
+        res = tmp_path / "res.json"
+        run("solve", inp, "--method", "greedy", "--out", res)
+        doc = json.loads(res.read_text())
+        assert (doc["parameters"]["gamma"], doc["parameters"]["seed"]) == (1.2, 0)
+        out = {}
+        for name, params in (("stored", doc["parameters"]),
+                             ("null", {**doc["parameters"], "gamma": None, "seed": None})):
+            res.write_text(json.dumps({**doc, "parameters": params}))
+            out[name] = tmp_path / f"check-{name}.json"
+            assert run("check", inp, "--result", res, "--bounds", "--out", out[name]) == EXIT_OK
+        assert out["null"].read_bytes() == out["stored"].read_bytes()
 
     @pytest.mark.parametrize("partition", [[2.9, 2.9], [True, 3]], ids=["float", "bool"])
     def test_non_integer_result_partition(self, tmp_path, capsys, partition):
@@ -696,7 +736,7 @@ def test_contract_where_split_cannot_decouple(tmp_path, name):
     (("solve", "SET"), lambda d: d["matrices"].pop(), None, "expected 3 matrices"),
     (("bench", "--methods", "greedy,fast"), None, None, "unknown method 'fast'"),
     (("check", "SET", "--result", "RES"), None, lambda r: r["parameters"].update(mu="small"),
-     "parameters.mu must be a number or null"),
+     "parameters: mu must be a float, got 'small'"),
     (("check", "SET", "--result", "RES"), None, lambda r: r.pop("w"),
      "malformed result document"),
     (("check", "SET", "--equivalence"), lambda d: d.pop("v_inv"), None,

@@ -101,6 +101,12 @@ class TestRealSchurOrdered:
         with pytest.raises(ValueError):
             real_schur_ordered(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("z", [np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))],
+                             ids=["wide", "vector", "stack"])
+    def test_rejects_non_square(self, z):
+        with pytest.raises(ValueError, match="z must be square"):
+            real_schur_ordered(z)
+
     def test_failed_iteration_raises_schur_convergence_error(self, monkeypatch):
         failure = np.linalg.LinAlgError("the QR iteration did not converge")
 
@@ -160,6 +166,18 @@ class TestBlockDiagonalizeSimilarity:
         sf = real_schur_ordered(np.array([[0.0, -1.0], [1.0, 0.0]]))
         with pytest.raises(ValueError):
             block_diagonalize_similarity(sf, [1])
+
+    @pytest.mark.parametrize("boundaries", [[0], [3], [-1], [1, 3]],
+                             ids=["zero", "n", "negative", "one-inside-one-at-n"])
+    def test_rejects_boundary_outside_the_order(self, boundaries):
+        sf = real_schur_ordered(np.diag([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="strictly inside 1..n-1"):
+            block_diagonalize_similarity(sf, boundaries)
+
+    def test_rejects_repeated_boundary(self):
+        sf = real_schur_ordered(np.diag([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="boundaries must be distinct"):
+            block_diagonalize_similarity(sf, [2, 1, 2])
 
     def test_one_sylvester_solve_per_cluster(self, monkeypatch):
         # each cluster is decoupled from all earlier ones at once: 8 clusters
@@ -240,6 +258,12 @@ class TestEconomicQR:
         for b, member in enumerate(stack):
             u_b, r_b = economic_qr(member)
             assert np.array_equal(u[b], u_b) and np.array_equal(r[b], r_b)
+
+    @pytest.mark.parametrize("a", [np.ones((2, 3)), np.ones((3, 2, 3)), np.ones(4)],
+                             ids=["wide", "wide-stack", "vector"])
+    def test_rejects_more_columns_than_rows(self, a):
+        with pytest.raises(ValueError, match="k <= n"):
+            economic_qr(a)
 
     def test_rank_deficiency_detected(self):
         a = np.ones((4, 2))

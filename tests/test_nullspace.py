@@ -57,6 +57,11 @@ class TestMatrixSet:
         with pytest.raises(ValueError):
             MatrixSet(mats)
 
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 0)], ids=["no-matrices", "order-zero"])
+    def test_rejects_empty(self, shape):
+        with pytest.raises(ValueError, match="need m >= 1 matrices of order n >= 1"):
+            MatrixSet(np.zeros(shape))
+
 
 class TestBuildStackedOperator:
     def test_identity_direction_in_kernel(self):

@@ -518,10 +518,26 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: 10 ** 400})
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, (3, -1), "abc"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, (3, -1), "abc", None, True, np.bool_(True),
+                                      [[1]], [1, True], 11.0])
     def test_rejects_a_seed_seed_sequence_rejects(self, seed):
+        # None would draw OS entropy and bools, floats and nested lists would
+        # pass SeedSequence or be read as other seeds: only ints and lists
+        # or tuples of ints make a solve repeatable
         with pytest.raises(ValueError, match="seed"):
             SolverConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [7, np.int64(7), [7, 1], (7, np.uint8(1)), [], 10 ** 40])
+    def test_accepts_int_seeds(self, seed):
+        assert SolverConfig(seed=seed).seed is seed
+
+    @pytest.mark.parametrize("field, value", [("gamma", "1.5"), ("gamma", True), ("mu", "0.1"),
+                                              ("mu", np.bool_(True)), ("epsilon", True),
+                                              ("epsilon", b"1")])
+    def test_rejects_bools_and_strings(self, field, value):
+        # float() would read "1.5" as 1.5 and True as 1.0
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
 
     def test_numpy_epsilon_past_float_range_square_root(self):
         # np.float64(1e200) ** 2 overflows with a RuntimeWarning, which the
