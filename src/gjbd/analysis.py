@@ -7,13 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matkernels import _largest_angle, _orthonormal_basis, _sep_stacked, economic_qr
-from .nullspace import (
-    MatrixSet,
-    _unit_scaled,
-    basis_excluding_identity,
-    exact_nullspace,
-    pair_grams,
-)
+from .nullspace import MatrixSet, basis_excluding_identity, exact_nullspace, pair_grams
 
 _REL_SLACK = 1e-8
 
@@ -78,8 +72,8 @@ def cost_ls(a, p, w):
     Zero exactly when every congruence-transformed matrix is block diagonal
     under ``p``.  The off-block entries are summed directly; the total minus
     the block diagonal part would lose a small cost, such as that of an
-    exact solve, to cancellation.  A cost past the float range is inf, without
-    a numpy overflow warning.
+    exact solve, to cancellation.  They are summed on ``a.unit``, and past the
+    float range the cost is inf (:meth:`gjbd.nullspace.MatrixSet.rescale`).
 
     Raises
     ------
@@ -91,8 +85,7 @@ def cost_ls(a, p, w):
     if w.shape != (a.n, a.n) or p.n != a.n:
         raise ValueError(f"partition of order {p.n} and w of shape {w.shape} do not "
                          f"match the matrix set of order {a.n}")
-    with np.errstate(over="ignore"):
-        return float(np.sum((w.T @ a.mats @ w)[:, ~p.mask] ** 2))
+    return float(a.rescale(np.sum((w.T @ a.unit.mats @ w)[:, ~p.mask] ** 2), 2))
 
 
 def _bases_by_size(m, p, orthonormalize):
@@ -355,11 +348,11 @@ def verify_imag_bound(a, z, delta):
 
     Eigenpairs whose denominator vanishes are reported as inapplicable.
 
-    Each denominator and ``delta`` are taken on the set scaled by a power of
-    two as the near-null kernel scales it (:func:`gjbd.nullspace._unit_scaled`).
-    That scaling is exact and cancels in the right-hand side, so ``rhs`` is
-    the given set's, also where its squares pass the float range.  The
-    reported denominator is at the given scale, inf past the float range.
+    Each denominator and ``delta`` are taken on ``a.unit``, as the
+    near-null kernel takes them.  That scaling is exact and cancels in the
+    right-hand side, so ``rhs`` is the given set's, also where its squares
+    pass the float range.  The reported denominator is at the given scale,
+    by :meth:`gjbd.nullspace.MatrixSet.rescale`: inf past the float range.
 
     Returns
     -------
@@ -367,8 +360,8 @@ def verify_imag_bound(a, z, delta):
     """
     z = np.asarray(z, dtype=float)
     z_norm = float(np.linalg.norm(z))
-    b, exponent = _unit_scaled(a)
-    delta_b = np.ldexp(float(delta), -exponent)
+    b = a.unit
+    delta_b = a.rescale(float(delta), -1)
     evals, evecs = np.linalg.eig(z)
     reports = []
     for idx in range(evals.size):
@@ -377,8 +370,7 @@ def verify_imag_bound(a, z, delta):
         # one stacked product per eigenvector; a product over all of them at
         # once would sum in another order
         denom_b = float(sum(abs(np.vdot(x, bx)) ** 2 for bx in b.mats @ x))
-        with np.errstate(over="ignore"):
-            denom = float(np.ldexp(denom_b, 2 * exponent))
+        denom = float(a.rescale(denom_b, 2))
         lhs = float(abs(lam - np.conj(lam)))
         components = {
             "eigenvalue": complex(lam),

@@ -110,10 +110,11 @@ def _partition_from_json(sizes, n, what):
 
 
 def _matrix_from_flat(flat, n, what):
+    # JSON numbers only: numpy would read "1.5" as 1.5 and true as 1.0
+    if not isinstance(flat, list) or not all(isinstance(x, float) or _is_int(x) for x in flat):
+        raise InputError(f"{what} holds non-numeric values")
     try:
         arr = np.asarray(flat, dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"{what} holds non-numeric values") from exc
     except OverflowError as exc:
         raise InputError(f"{what} holds values past the float range") from exc
     if arr.shape != (n * n,):

@@ -29,10 +29,9 @@ and refined.  A Rayleigh-Ritz SVD of ``K`` on the refined window (Golub &
 Van Loan, *Matrix Computations*) then gives the small singular values to
 the precision of a dense SVD.
 
-Both routes run on the set scaled once, by the power of two that brings its
-largest entry below 1, where :func:`delta_nullspace` and
-:func:`exact_nullspace` enter the kernel; only the reported singular values
-and threshold are scaled back.
+Both routes run on the set's :attr:`MatrixSet.unit`, the set scaled by the
+power of two that brings its largest entry below 1, and only the reported
+singular values and threshold are scaled back, by :meth:`MatrixSet.rescale`.
 """
 
 from dataclasses import dataclass
@@ -47,15 +46,34 @@ from .matkernels import NumericalError
 class MatrixSet:
     """A family of ``m`` real square matrices of common order ``n``.
 
+    The set owns its power-of-two scale: each computation homogeneous in the
+    set (the near-null kernel, :func:`pair_grams`, the costs, the
+    imaginary-part bound and consv) runs on ``unit`` and reports at the
+    set's scale by :meth:`rescale`.
+
     Attributes
     ----------
     mats : ndarray, shape (m, n, n)
+    exponent : int
+        ``mats = 2**exponent * unit.mats``, exactly wherever entries are normal.
+
+    Raises
+    ------
+    ValueError
+        If ``mats`` is not of shape ``(m, n, n)`` with ``m, n >= 1``, holds
+        a non-finite entry, or has a dtype other than int, uint or float,
+        such as bool, complex or string.  numpy reads a list that mixes
+        bools with numbers as floats before any dtype exists; files are
+        checked entry by entry where ``gjbd.cli`` reads them.
     """
 
     mats: np.ndarray
 
     def __post_init__(self):
-        mats = np.asarray(self.mats, dtype=float)
+        mats = np.asarray(self.mats)
+        if mats.dtype.kind not in "iuf":
+            raise ValueError(f"matrix entries must be real numbers, got dtype {mats.dtype}")
+        mats = mats.astype(float, copy=False)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError("mats must have shape (m, n, n)")
         if mats.shape[0] < 1 or mats.shape[1] < 1:
@@ -63,6 +81,14 @@ class MatrixSet:
         if not np.all(np.isfinite(mats)):
             raise ValueError("matrix entries must be finite")
         object.__setattr__(self, "mats", mats)
+        object.__setattr__(self, "exponent", int(np.frexp(np.abs(mats).max())[1]))
+
+    @property
+    def unit(self):
+        """The set times ``2**-exponent``, largest entry in [1/2, 1) in
+        magnitude; the set itself when ``exponent`` is 0, as for the zero
+        set.  Formed on each access, so that no set holds two copies."""
+        return MatrixSet(np.ldexp(self.mats, -self.exponent)) if self.exponent else self
 
     @property
     def m(self):
@@ -72,11 +98,19 @@ class MatrixSet:
     def n(self):
         return self.mats.shape[1]
 
-    def total_sq_norm(self):
-        """Sum of squared Frobenius norms, the natural cost scale; inf past
-        the float range, without a numpy overflow warning."""
+    def rescale(self, x, power=1):
+        """``x * 2**(power * exponent)``: a quantity of degree ``power`` in
+        the set, computed on ``unit``, at the set's own scale (``power=-1``
+        takes one of degree 1 the other way).  Exact wherever the result is
+        normal; past the float range inf, without a numpy overflow warning.
+        """
         with np.errstate(over="ignore"):
-            return float(np.sum(self.mats ** 2))
+            return np.ldexp(x, power * self.exponent)
+
+    def total_sq_norm(self):
+        """Sum of squared Frobenius norms, the natural cost scale, summed on
+        ``unit``; see :meth:`rescale`."""
+        return float(self.rescale(np.sum(self.unit.mats ** 2), 2))
 
 
 @dataclass(frozen=True)
@@ -152,20 +186,6 @@ _STEP_SHIFT = 1e-2
 _STEP_SOLVES = 3
 
 
-def _unit_scaled(a):
-    """``(b, exponent)`` with ``a = 2**exponent * b`` and the largest entry
-    of ``b`` below 1 in magnitude.
-
-    ``K`` is linear in the ``A_i``: scaling them by a power of two, which is
-    exact, keeps the squares in :func:`_gram` from overflowing or
-    underflowing, and makes every near-null space a function of ``b``
-    alone.  Two callers: :func:`_near_null_basis`, the one entry of the
-    near-null kernel, and :func:`pair_grams`.
-    """
-    exponent = np.frexp(np.abs(a.mats).max())[1]
-    return MatrixSet(np.ldexp(a.mats, -exponent)), exponent
-
-
 def _gram(a):
     """``K.T K`` for the stacked coupling operator ``K`` of ``a``, the matrix
     of ``vec(Z) -> stack_i vec(A_i Z - Z.T A_i)``, in ``O(m n**4)``.
@@ -183,8 +203,8 @@ def _gram(a):
 
     Two callers: :func:`_near_null_svd`, for the solvers' near-null spaces,
     and :func:`pair_grams`, which reads each block pair's Gram matrix from
-    a principal submatrix.  Both pass a set scaled by :func:`_unit_scaled`,
-    whose squares neither overflow nor underflow.
+    a principal submatrix.  Both pass a set's ``unit``, whose squares
+    neither overflow nor underflow.
     """
     n, m = a.n, a.m
     rows = a.mats.reshape(m * n, n)  # rows[(i, r), p] = A_i[r, p]
@@ -212,10 +232,10 @@ def pair_grams(a, p):
     ``(k, j)`` to no others, so a pair's Gram matrix is the principal
     submatrix of the one ``K.T K`` on those entries, block ``(j, k)`` row by
     row, then block ``(k, j)``; it is singular exactly when the pair's
-    equations admit a nonzero solution.  ``K`` is that of ``a`` scaled as
-    for the near-null spaces, by :func:`_unit_scaled`.
+    equations admit a nonzero solution.  ``K`` is that of ``a.unit``, as
+    for the near-null spaces.
     """
-    g = _gram(_unit_scaled(a)[0])
+    g = _gram(a.unit)
     column = np.arange(a.n ** 2).reshape((a.n, a.n), order="F")  # g's column weighing Z[r, s]
     slices = p.slices()
     groups = []
@@ -299,9 +319,9 @@ def _near_null_svd(a, threshold):
     """The largest and the smallest singular values of ``K`` and the right
     singular vectors of the smallest ones, as the thin SVD of the dense
     ``K`` (``tests/oracles.py``) gives them, without forming ``K`` from
-    ``n = 3`` on, for a set scaled by :func:`_unit_scaled`: its only caller,
-    :func:`_near_null_basis`, scales on entry and reports at caller scale,
-    so neither route below has a scaling rule of its own.
+    ``n = 3`` on, for a set's ``unit``: its only caller,
+    :func:`_near_null_basis`, reports at the set's scale, so neither route
+    below has a scaling rule of its own.
 
     For ``n <= 2`` it is that thin SVD: ``K``, at most ``4m x 4``, is formed
     by applying it to the identity, and all ``n*n`` values and rows are
@@ -433,20 +453,29 @@ def _delta_rule(a, gamma, sigma):
     return gamma * sigma[-2], False
 
 
+def _check_gamma(gamma):
+    """Raise ``ValueError`` unless ``gamma`` is a number, finite and > 1:
+    the one check of the delta rule's multiplier, for
+    :func:`delta_nullspace`, :func:`gjbd.solvers.one_step_split_with_trace`
+    and :class:`gjbd.solvers.SolverConfig`."""
+    if isinstance(gamma, (str, bytes)):
+        raise ValueError(f"gamma must be a float, got {gamma!r}")
+    # written so that NaN fails
+    if not 1.0 < gamma < np.inf:
+        raise ValueError("gamma must be finite and > 1")
+
+
 def _near_null_basis(a, gamma):
     """The basis of :func:`delta_nullspace` for ``gamma``, or of
     :func:`exact_nullspace` for ``gamma=None``.
 
-    The kernel's one scaling: ``a = 2**exponent * b`` with ``b`` from
-    :func:`_unit_scaled`.  The singular values, ``delta`` and the basis are
-    computed and counted on ``b``, and only ``sigma`` and ``delta`` are
-    scaled back, each by one ``ldexp``, which is exact wherever the result
-    is normal and gives inf past the float range, without a numpy overflow
-    warning.  So the basis is the same for every power-of-two multiple of a
-    set.
+    The singular values, ``delta`` and the basis are computed and counted
+    on ``b = a.unit``, and only ``sigma`` and ``delta`` are scaled back, by
+    :meth:`MatrixSet.rescale`.  So the basis is the same for every
+    power-of-two multiple of a set.
     """
     n = a.n
-    b, exponent = _unit_scaled(a)
+    b = a.unit
     sigma, vt = _near_null_svd(b, lambda s: _delta_rule(b, gamma, s)[0])
     delta, rank_cutoff = _delta_rule(b, gamma, sigma)
     if sigma[0] == 0.0:
@@ -456,8 +485,7 @@ def _near_null_basis(a, gamma):
         count = int(np.sum(sigma < delta))
     # vt holds the rows of the window only, the last len(vt) values of sigma
     basis = [vt[-(j + 1)].reshape((n, n), order="F") for j in range(count)]
-    with np.errstate(over="ignore"):  # past the float range, inf
-        delta, sigma = float(np.ldexp(delta, exponent)), np.ldexp(sigma, exponent)
+    delta, sigma = float(a.rescale(delta)), a.rescale(sigma)
     return NullSpaceBasis(delta=delta, sigma=sigma, basis=basis, rank_cutoff=rank_cutoff)
 
 
@@ -471,8 +499,8 @@ def delta_nullspace(a, gamma):
     threshold falls back to a standard numerical-rank cutoff, which the
     returned basis records as ``rank_cutoff``.
 
-    The set is scaled by a power of two on entry, so the basis is the same
-    for every power-of-two multiple of ``a``; see :class:`NullSpaceBasis`.
+    The kernel runs on ``a.unit``, so the basis is the same for every
+    power-of-two multiple of ``a``; see :class:`NullSpaceBasis`.
 
     Parameters
     ----------
@@ -487,19 +515,18 @@ def delta_nullspace(a, gamma):
     Raises
     ------
     ValueError
-        If ``gamma`` is not finite and > 1.
+        If ``gamma`` is a string, or not finite and > 1.
     NumericalError
         If a LAPACK routine of the near-null kernel reports a failure.
     """
-    if not 1.0 < gamma < np.inf:
-        raise ValueError("gamma must be finite and > 1")
+    _check_gamma(gamma)
     return _near_null_basis(a, gamma)
 
 
 def exact_nullspace(a):
     """Exact null space of the coupling equations, up to numerical rank.
 
-    Scaled on entry as in :func:`delta_nullspace`.
+    On ``a.unit``, as in :func:`delta_nullspace`.
 
     Parameters
     ----------

@@ -20,6 +20,7 @@ from .matkernels import (
 from .nullspace import (
     MatrixSet,
     NullSpaceBasis,
+    _check_gamma,
     _delta_rule,
     basis_excluding_identity,
     delta_nullspace,
@@ -106,8 +107,7 @@ class SolverConfig:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"seed must be an int or a sequence of ints >= 0: {exc}") from exc
         # written so that NaN fails every test
-        if not 1.0 < self.gamma < np.inf:
-            raise ValueError("gamma must be finite and > 1")
+        _check_gamma(self.gamma)
         if self.mu is not None and not 0.0 < self.mu < 1.0:
             raise ValueError("mu must lie in (0, 1)")
         if not self.epsilon >= 0.0:
@@ -279,8 +279,9 @@ def one_step_split_with_trace(a, gamma=SolverConfig.gamma, basis=None):
     when ``gamma`` also cuts at numerical rank.  Any other basis, or one
     whose operator vanishes (``delta`` infinite), is ignored and the space
     is computed by :func:`delta_nullspace`.  So the answer never depends on
-    what the caller passes.
+    what the caller passes.  ``gamma`` is checked before any reuse.
     """
+    _check_gamma(gamma)
     reusable = basis is not None and _delta_rule(a, gamma, basis.sigma) == (
         basis.delta, basis.rank_cutoff)
     basis_obj = basis if reusable else delta_nullspace(a, gamma)
@@ -330,7 +331,7 @@ def one_step_split(a, gamma=SolverConfig.gamma):
     Raises
     ------
     ValueError
-        If ``gamma`` is not finite and > 1.
+        If ``gamma`` is a string, or not finite and > 1.
     UnsplittableError
         If no admissible split exists, or the split at the largest gap cannot
         be decoupled; the decoupling error is then its ``__cause__``.
@@ -359,9 +360,12 @@ def conservative_solve(a, cfg=None):
     two-block split has the smallest projected cost, accepting while the
     total cost stays within ``cfg.epsilon ** 2``.
 
-    The returned solution always satisfies ``cost <= cfg.epsilon ** 2``;
-    size-one and unsplittable blocks are ineligible, so the loop terminates
-    after at most ``n - 1`` acceptances.
+    The loop runs on ``a.unit`` with ``cfg.epsilon * 2**-a.exponent`` and
+    reports the cost at the set's scale (:meth:`MatrixSet.rescale`), so its
+    decisions are a function of ``a.unit``.  The returned solution always
+    satisfies ``cost <= cfg.epsilon ** 2``, to the bit wherever that square
+    is normal; size-one and unsplittable blocks are ineligible, so the loop
+    terminates after at most ``n - 1`` acceptances.
 
     Parameters
     ----------
@@ -381,15 +385,15 @@ def conservative_solve(a, cfg=None):
         split that cannot be decoupled only makes its block ineligible.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    n = a.n
+    n, b = a.n, a.unit
     try:
-        eps2 = cfg.epsilon ** 2
+        eps2 = float(a.rescale(cfg.epsilon, -1)) ** 2
     except OverflowError:  # an epsilon past the square root of the float range
         eps2 = np.inf
     sizes = [n]
     w = np.eye(n)
     cost = 0.0
-    proposals = [_propose_split(w, a, cfg.gamma)]
+    proposals = [_propose_split(w, b, cfg.gamma)]
     while True:
         finite = [p.cost if p is not None else np.inf for p in proposals]
         ell = int(np.argmin(finite))  # ties resolve to the smallest index
@@ -401,13 +405,13 @@ def conservative_solve(a, cfg=None):
         w_hat = w.copy()
         w_hat[:, col0:col1] = w[:, col0:col1] @ split.w
         sizes_hat = sizes[:ell] + list(split.partition.sizes) + sizes[ell + 1:]
-        cost_hat = cost_ls(a, Partition(tuple(sizes_hat)), w_hat)
+        cost_hat = cost_ls(b, Partition(tuple(sizes_hat)), w_hat)
         if cost_hat > eps2:
             break
         sizes, w, cost = sizes_hat, w_hat, cost_hat
         mid = col0 + split.partition.sizes[0]
         proposals[ell:ell + 1] = [
-            _propose_split(w[:, col0:mid], a, cfg.gamma),
-            _propose_split(w[:, mid:col1], a, cfg.gamma),
+            _propose_split(w[:, col0:mid], b, cfg.gamma),
+            _propose_split(w[:, mid:col1], b, cfg.gamma),
         ]
-    return Solution(partition=Partition(tuple(sizes)), w=w, cost=cost)
+    return Solution(partition=Partition(tuple(sizes)), w=w, cost=float(a.rescale(cost, 2)))

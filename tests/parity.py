@@ -22,10 +22,10 @@ solve raised.
 whose block multiset changed, lists the latter and counts them by method
 and SNR, and gives per method the number of answers with the same
 partition whose ``W`` is byte-identical, the number whose performance index
-is bit-identical (two nulls count as equal) and the largest change of the
-performance index among them.  It reads only the two files, and like
-``cmp`` it exits 1 when any ordered partition, error or ``W`` hash
-differs, else 0.
+is bit-identical (two nulls count as equal), the number whose cost is
+bit-identical and the largest change of the performance index among them.
+It reads only the two files, and like ``cmp`` it exits 1 when any ordered
+partition, error, ``W`` hash or cost differs, else 0.
 The file name keeps pytest from collecting it.
 """
 
@@ -122,7 +122,7 @@ def solve(path):
 
 def compare(before_path, after_path):
     """Print the changes between two answer files; the exit status, 1 when
-    any ordered partition, error or ``W`` hash differs, else 0."""
+    any ordered partition, error, ``W`` hash or cost differs, else 0."""
     with open(before_path) as f:
         before = {key(r): r for r in json.load(f)["answers"]}
     with open(after_path) as f:
@@ -132,8 +132,8 @@ def compare(before_path, after_path):
     ordered, multiset, pi_moves = [], [], {}
     # per method, per SNR: changed block multisets
     multiset_by_snr = {}
-    # per method: identical W, identical PI, same partition
-    same_w, same_pi, kept = Counter(), Counter(), Counter()
+    # per method: identical W, identical PI, identical cost, same partition
+    same_w, same_pi, same_cost, kept = Counter(), Counter(), Counter(), Counter()
     for k, old in before.items():
         new = after[k]
         got = (old.get("partition", old.get("error")), new.get("partition", new.get("error")))
@@ -152,6 +152,7 @@ def compare(before_path, after_path):
             same_w[k[0]] += old["w_sha256"] == new["w_sha256"]
             # JSON keeps a float's shortest repr, so == compares its bits
             same_pi[k[0]] += old["pi"] == new["pi"]
+            same_cost[k[0]] += old["cost"] == new["cost"]
     print(f"{len(before)} answers: {len(ordered)} ordered partitions changed, "
           f"{len(multiset)} block multisets changed, {sum(same_w.values())} W byte-identical")
     by_method = Counter(k[0] for k in ordered)
@@ -161,10 +162,12 @@ def compare(before_path, after_path):
         print("multiset change:", line)
     for method in sorted(kept):
         print(f"{method}: {same_w[method]} of {kept[method]} W byte-identical, "
-              f"{same_pi[method]} of {kept[method]} PI bit-identical")
+              f"{same_pi[method]} of {kept[method]} PI bit-identical, "
+              f"{same_cost[method]} of {kept[method]} cost bit-identical")
     for method, moves in sorted(pi_moves.items()):
         print(f"{method}: largest |PI change| with the same partition {max(moves):.3g}")
-    return int(bool(ordered) or any(same_w[method] < kept[method] for method in kept))
+    return int(bool(ordered) or any(min(same_w[method], same_cost[method]) < kept[method]
+                                    for method in kept))
 
 
 if __name__ == "__main__":

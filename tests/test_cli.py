@@ -191,9 +191,10 @@ class TestSolve:
         inp.write_text(json.dumps({"n": 1, "m": 1, "matrices": [["x"]]}))
         assert run("solve", inp) == EXIT_PARSE
 
-    @pytest.mark.parametrize("field", ["matrices", "v_inv", "w"])
-    def test_integer_past_float_range(self, tmp_path, capsys, field):
-        # numpy raises OverflowError, not ValueError, converting such an int
+    @staticmethod
+    def with_first_entry(tmp_path, field, value):
+        # the argv that reads a set whose matrix 1, v_inv, or result w has
+        # value as its first entry
         inp = synth(tmp_path, "set.json", "2,2", 3, 40, 0)
         res = tmp_path / "res.json"
         run("solve", inp, "--out", res)
@@ -202,11 +203,28 @@ class TestSolve:
         else:
             path, argv = inp, ("solve", inp)
         doc = json.loads(path.read_text())
-        (doc["matrices"][1] if field == "matrices" else doc[field])[0] = 10 ** 401
+        (doc["matrices"][1] if field == "matrices" else doc[field])[0] = value
         path.write_text(json.dumps(doc))
+        return argv
+
+    @pytest.mark.parametrize("field", ["matrices", "v_inv", "w"])
+    def test_integer_past_float_range(self, tmp_path, capsys, field):
+        # numpy raises OverflowError, not ValueError, converting such an int
+        argv = self.with_first_entry(tmp_path, field, 10 ** 401)
         capsys.readouterr()
         assert run(*argv) == EXIT_PARSE
         assert "past the float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1.5", True, None, [1.0]],
+                             ids=["string", "bool", "null", "list"])
+    @pytest.mark.parametrize("field", ["matrices", "v_inv", "w"])
+    def test_entry_that_is_not_a_json_number(self, tmp_path, capsys, field, value):
+        # numpy would read "1.5" as 1.5, true as 1.0 and null as nan
+        argv = self.with_first_entry(tmp_path, field, value)
+        capsys.readouterr()
+        assert run(*argv) == EXIT_PARSE
+        what = {"matrices": "matrix 1", "v_inv": "v_inv", "w": "result w"}[field]
+        assert f"{what} holds non-numeric values" in capsys.readouterr().err
 
     def test_invalid_gamma(self, tmp_path):
         inp = synth(tmp_path, "set.json", "2,2", 3, 40, 0)
@@ -448,6 +466,19 @@ class TestCheck:
                           for r in bounds["imag"] + bounds["split_imag"]]
         assert len(reports[0]) == 12 and all(ok for _, _, ok in reports[0])
         assert reports[664] == reports[0]
+
+    def test_consv_past_the_float_range(self, tmp_path):
+        # the set times 2**-560, epsilon alike: consv's costs underflowed to
+        # 0 and it returned six 1x1 blocks, which check passed
+        inst = generate_model(Partition((2, 2, 2)), 4, np.inf, 0)
+        inp = tmp_path / "set.json"
+        inp.write_text(json.dumps(matrix_set_document(MatrixSet(np.ldexp(inst.a.mats, -560)))))
+        res = tmp_path / "res.json"
+        eps = repr(float(np.ldexp(1e-6, -560)))
+        assert run("solve", inp, "--method", "consv", "--epsilon", eps, "--out", res) == EXIT_OK
+        assert json.loads(res.read_text())["partition"] == [2, 2, 2]
+        out = tmp_path / "check.json"
+        assert run("check", inp, "--result", res, "--bounds", "--out", out) == EXIT_OK
 
     def test_exact_result_passes_every_check(self, tmp_path):
         # the benchmark's exact-diagnose run of check on every instance

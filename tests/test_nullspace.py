@@ -62,6 +62,30 @@ class TestMatrixSet:
         with pytest.raises(ValueError, match="need m >= 1 matrices of order n >= 1"):
             MatrixSet(np.zeros(shape))
 
+    @pytest.mark.parametrize("mats, dtype", [
+        (np.ones((1, 2, 2), dtype=complex), "complex128"),
+        (np.ones((1, 2, 2), dtype=bool), "bool"),
+        ([[["1", "2"], ["3", "4"]]], "<U1"),
+    ], ids=["complex", "bool", "strings"])
+    def test_rejects_entries_that_are_not_real_numbers(self, mats, dtype):
+        # numpy would drop the imaginary part, or read True and "1" as 1.0
+        with pytest.raises(ValueError, match=f"real numbers, got dtype {dtype}"):
+            MatrixSet(mats)
+
+    def test_accepts_integer_entries(self):
+        a = MatrixSet(np.arange(8, dtype=np.uint8).reshape(2, 2, 2))
+        assert a.mats.dtype == float and a.mats[1, 1, 1] == 7.0
+
+    @pytest.mark.parametrize("top, exponent", [(3.0, 2), (0.5, 0), (2.0 ** -600, -599), (0.0, 0)])
+    def test_unit_is_scaled_by_a_power_of_two(self, top, exponent):
+        mats = np.diag([top, -top / 3.0])[None]
+        a = MatrixSet(mats)
+        unit = a.unit
+        assert a.exponent == exponent
+        assert np.array_equal(np.ldexp(unit.mats, exponent), a.mats)
+        assert (unit is a) is (exponent == 0)
+        assert unit.exponent == 0 and unit.unit is unit
+
 
 class TestBuildStackedOperator:
     def test_identity_direction_in_kernel(self):
@@ -420,6 +444,11 @@ class TestDeltaNullspace:
     @pytest.mark.parametrize("gamma", [np.nan, np.inf])
     def test_rejects_non_finite_gamma(self, gamma):
         with pytest.raises(ValueError):
+            delta_nullspace(MatrixSet(np.eye(2)[None]), gamma)
+
+    @pytest.mark.parametrize("gamma", ["1.5", b"1.5"], ids=["str", "bytes"])
+    def test_rejects_string_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
             delta_nullspace(MatrixSet(np.eye(2)[None]), gamma)
 
     def test_basis_invariants_on_noisy_model(self):

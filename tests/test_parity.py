@@ -115,6 +115,15 @@ def test_changed_pi_alone_passes(compare, tmp_path, capsys):
     assert "greedy: 1 of 1 W byte-identical, 0 of 1 PI bit-identical" in capsys.readouterr().out
 
 
+def test_changed_cost_alone_fails(compare, tmp_path, capsys):
+    def edit(after):
+        after[1]["cost"] = 2.0000000000000004
+
+    assert run_compare(compare, tmp_path, edit) == 1
+    assert "consv: 1 of 1 W byte-identical, 1 of 1 PI bit-identical, " \
+           "0 of 1 cost bit-identical" in capsys.readouterr().out
+
+
 def test_same_error_on_both_sides_passes(compare, tmp_path):
     # ANSWERS holds one error, the same in both files
     assert "error" in ANSWERS[2]

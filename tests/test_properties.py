@@ -8,7 +8,9 @@ block sizes unchanged.
 Scale equivariance: a power-of-two multiple of a set, of every order and
 as far as its entries stay normal, gets the same near-null bases and the
 same greedy and exact answers to the bit, and its singular values and
-threshold scaled by that power.
+threshold scaled by that power; with epsilon scaled alike, it gets consv's
+ordered partition and ``W`` to the bit, and its cost scaled by the square
+of that power.
 
 Contract: on every drawn set, each solver returns a ``Solution`` that
 passes ``check_solution_invariants`` or raises a ``NumericalError``; the
@@ -22,7 +24,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gjbd.cli import (
@@ -107,10 +109,10 @@ def test_consv_block_sizes_invariant(sizes, snr, seed, k, order):
                      sizes, snr, seed, k, order, tuple)
 
 
-def _normal_exponents(a):
-    """The ``k`` for which ``2**k`` times every nonzero entry of ``a`` is a
-    normal float, as an inclusive range."""
-    exps = np.frexp(a.mats[a.mats != 0.0])[1]  # |x| in [2**(e - 1), 2**e)
+def _normal_exponents(x):
+    """The ``k`` for which ``2**k`` times every nonzero entry of the array
+    ``x`` is a normal float, as an inclusive range."""
+    exps = np.frexp(x[x != 0.0])[1]  # |x| in [2**(e - 1), 2**e)
     if not exps.size:  # the zero set, which every k leaves alone
         return 0, 0
     fmin, fmax = np.finfo(float).minexp, np.finfo(float).maxexp
@@ -128,11 +130,11 @@ def _same_where_normal(scaled, base, k):
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(kind=st.sampled_from(FUZZ_KINDS), n=st.integers(1, 8), seed=_SEEDS, data=st.data())
 def test_near_null_space_and_answers_scale_exactly(kind, n, seed, data):
-    # consv's tolerance and cost are not scaled with the set yet, so it is
-    # left out; past the float range the reported sigma and greedy's cost
-    # are inf without a numpy warning
+    # consv, whose epsilon scales with the set, has its own property below;
+    # past the float range the reported sigma and greedy's cost are inf
+    # without a numpy warning
     a = fuzz_set(np.random.default_rng(seed), kind, orders=(n, n + 1))
-    k = data.draw(st.integers(*_normal_exponents(a)), label="k")
+    k = data.draw(st.integers(*_normal_exponents(a.mats)), label="k")
     scaled = MatrixSet(np.ldexp(a.mats, k))
     for space in (lambda s: delta_nullspace(s, 1.2), exact_nullspace):
         base, moved = space(a), space(scaled)
@@ -144,6 +146,27 @@ def test_near_null_space_and_answers_scale_exactly(kind, n, seed, data):
         base, moved = solve(a), solve(scaled)
         assert moved.partition.sizes == base.partition.sizes
         assert moved.w.tobytes() == base.w.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["paper case", *FUZZ_KINDS]), seed=_SEEDS, data=st.data())
+def test_consv_answer_scales_exactly(kind, seed, data):
+    # consv runs on the set's power-of-two unit with epsilon scaled alike;
+    # k keeps epsilon normal too
+    if kind == "paper case":
+        snr = data.draw(st.sampled_from([20.0, 40.0, 60.0, 80.0]), label="snr")
+        a = generate_model(Partition(data.draw(_CASES, label="sizes")), _M, snr, seed).a
+        eps = 3.0 * a.n ** 2 * noise_level(snr)  # the CLI's consv tolerance
+    else:
+        a, eps = fuzz_set(np.random.default_rng(seed), kind, orders=(1, 9)), 1e-6
+    k = data.draw(st.integers(*_normal_exponents(np.append(a.mats, eps))), label="k")
+    base = conservative_solve(a, SolverConfig(epsilon=eps))
+    moved = conservative_solve(MatrixSet(np.ldexp(a.mats, k)),
+                               SolverConfig(epsilon=float(np.ldexp(eps, k))))
+    assert moved.partition.sizes == base.partition.sizes
+    assert moved.w.tobytes() == base.w.tobytes()
+    if np.isfinite(moved.cost) and moved.cost != 0.0:
+        assert moved.cost == np.ldexp(base.cost, 2 * k)
 
 
 _SOLVERS = (
@@ -175,12 +198,23 @@ def test_every_set_gets_a_solution_or_a_numerical_error(kind, seed):
 
 _SCALED_KINDS = {"times 2^500": 2.0 ** 500, "times 2^-500": 2.0 ** -500}
 
+# the paper's two cases at the scales where consv changed its answer before
+# it ran on the set's power-of-two unit; pinned examples, never drawn
+_EXTREME_CASES = {f"{sizes} at {snr:g} dB times {scale:g}": (sizes, snr, scale)
+                  for sizes, snr in (((3, 3, 3), 40.0), ((1, 2, 3, 4), 60.0))
+                  for scale in (1e150, 1e155, 1e-160, 1e-170)}
 
-def _contract_set(rng, kind):
+
+def _contract_set(seed, kind):
     """(set, scale) of one kind, of order 1 to 5 with 1 to 4 matrices: a
     scaled identity per matrix, diagonal matrices, a fuzz set scaled by
     2^500 or 2^-500 (exact in floating point), or a fuzz set of one of
-    FUZZ_KINDS; consv's epsilon is scaled with the set."""
+    FUZZ_KINDS; or a set of ``_EXTREME_CASES`` drawn with ``seed``.  consv's
+    epsilon is scaled with the set."""
+    rng = np.random.default_rng(seed)
+    if kind in _EXTREME_CASES:
+        sizes, snr, scale = _EXTREME_CASES[kind]
+        return MatrixSet(scale * generate_model(Partition(sizes), _M, snr, seed).a.mats), scale
     if kind in FUZZ_KINDS:
         return fuzz_set(rng, kind, orders=(1, 6)), 1.0
     if kind in _SCALED_KINDS:
@@ -192,13 +226,21 @@ def _contract_set(rng, kind):
     return MatrixSet(np.array([np.diag(rng.standard_normal(n)) for _ in range(m)])), 1.0
 
 
+def _pin_extreme_cases(test):
+    for kind in _EXTREME_CASES:
+        for seed in range(3):
+            test = example(kind=kind, seed=seed)(test)
+    return test
+
+
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["scaled identity", "diagonal", *_SCALED_KINDS, *FUZZ_KINDS]),
        seed=_SEEDS)
+@_pin_extreme_cases
 def test_every_entry_point_keeps_its_contract(kind, seed):
     # the library contract on the kinds the fuzz test above does not draw,
     # and the command-line one on every kind
-    a, scale = _contract_set(np.random.default_rng(seed), kind)
+    a, scale = _contract_set(seed, kind)
     eps = 1e-6 * scale
     if kind not in FUZZ_KINDS:
         for solve in (lambda: greedy_solve(a, SolverConfig(seed=seed)),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gjbd.analysis import bdiag, cost_ls, performance_index, verify_offblock_bound
-from gjbd.datagen import generate_model
+from gjbd.datagen import generate_model, noise_level
 from gjbd.matkernels import InseparableClustersError, real_schur_ordered
 from gjbd.nullspace import (
     MatrixSet,
@@ -35,7 +35,8 @@ def check_solution_invariants(a, solution, tol=1e-12):
     assert np.linalg.norm(bdiag(w.T @ w, solution.partition) - np.eye(n)) <= tol * n
     recomputed = cost_ls(a, solution.partition, w)
     scale = max(recomputed, solution.cost, 1e-30)
-    assert abs(recomputed - solution.cost) <= 1e-12 * scale
+    # equal infinities, a cost past the float range, match as in gjbd check
+    assert recomputed == solution.cost or abs(recomputed - solution.cost) <= 1e-12 * scale
 
 
 class TestEigDecompForPartition:
@@ -197,6 +198,15 @@ class TestOneStepSplit:
         with pytest.raises(UnsplittableError):
             one_step_split(MatrixSet(np.array([[[1.0]]])))
 
+    @pytest.mark.parametrize("gamma", ["1.5", b"1.5"], ids=["str", "bytes"])
+    @pytest.mark.parametrize("reuse", [False, True], ids=["fresh", "reused-basis"])
+    def test_rejects_string_gamma(self, gamma, reuse):
+        # checked before the reuse test, which would multiply sigma by gamma
+        a = generate_model(Partition((2, 2)), m=6, snr=40, seed=4).a
+        basis = delta_nullspace(a, 1.2) if reuse else None
+        with pytest.raises(ValueError, match="gamma"):
+            one_step_split_with_trace(a, gamma, basis)
+
     def test_trace_free_direction(self):
         inst = generate_model(Partition((2, 2)), m=6, snr=30, seed=4)
         _, trace = one_step_split_with_trace(inst.a)
@@ -275,6 +285,20 @@ class TestConservativeSolve:
         assert not spans_identity(delta_nullspace(inst.a, 1.2))
         solution = conservative_solve(inst.a, SolverConfig(epsilon=eps))
         assert partition_equivalent(solution.partition, p), solution.partition.sizes
+
+    @pytest.mark.parametrize("scale", [1e150, 1e155, 1e-160, 1e-170])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("sizes, snr", [((3, 3, 3), 40.0), ((1, 2, 3, 4), 60.0)],
+                             ids=["case1-40dB", "case2-60dB"])
+    def test_ordered_partition_at_extreme_scales(self, sizes, snr, seed, scale):
+        # with epsilon scaled alike; at 1e155 a proposal's cost overflowed to
+        # inf, at 1e-170 every cost underflowed to 0, until consv ran on the
+        # set's power-of-two unit
+        a = generate_model(Partition(sizes), 20, snr, seed).a
+        eps = 3.0 * a.n ** 2 * noise_level(snr)  # the CLI's consv tolerance
+        base = conservative_solve(a, SolverConfig(epsilon=eps))
+        moved = conservative_solve(MatrixSet(scale * a.mats), SolverConfig(epsilon=scale * eps))
+        assert moved.partition.sizes == base.partition.sizes
 
     def test_deterministic(self):
         inst = generate_model(Partition((2, 3)), m=8, snr=40, seed=7)
