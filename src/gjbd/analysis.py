@@ -2,7 +2,7 @@
 solution-equivalence test, and runtime verification of the off-block,
 imaginary-part and gap bounds."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class BoundReport:
 
 
 def _upper_report(lhs, rhs, components, applicable=True, abs_slack=0.0):
-    ok = (not applicable) or (lhs <= rhs * (1.0 + _REL_SLACK) + abs_slack) or np.isinf(rhs)
+    ok = (not applicable) or (lhs <= rhs * (1.0 + _REL_SLACK) + abs_slack)
     return BoundReport(lhs=float(lhs), rhs=float(rhs), satisfied=bool(ok),
                        applicable=applicable, components=components)
 
@@ -309,11 +309,20 @@ def verify_offblock_bound(a, z, delta, solution):
     the same values as the pairwise calls.  A zero separation gives an
     infinite right-hand side, reported as trivially satisfied but flagged
     in ``components``; a single block has no pair and an infinite one.
+
+    The cost, ``delta`` and the absolute floor are taken on ``a.unit``, as
+    the near-null kernel takes them.  That scaling is exact and the bound
+    is homogeneous of degree 2 in the set, so the verdict is the given
+    set's, also where its cost passes the float range.  The reported
+    ``lhs`` and ``rhs`` are at the given scale, by
+    :meth:`gjbd.nullspace.MatrixSet.rescale`: inf past the float range.
     """
     z = np.asarray(z, dtype=float)
     w = solution.w
     p = solution.partition
-    lhs = cost_ls(a, p, w)
+    b = a.unit
+    delta_b = float(a.rescale(delta, -1))
+    lhs = cost_ls(b, p, w)
     g_full = np.linalg.solve(w, z @ w)
     g_blocks = [g_full[sl, sl] for sl in p.slices()]
     seps = [_sep_stacked(np.array([g_blocks[j] for j, _ in pairs]),
@@ -333,13 +342,14 @@ def verify_offblock_bound(a, z, delta, solution):
         rhs = np.inf
     else:
         try:
-            rhs = (delta ** 2) * (z_norm ** 2) * (w_norm2 ** 4) / (sep ** 2)
+            rhs = (delta_b ** 2) * (z_norm ** 2) * (w_norm2 ** 4) / (sep ** 2)
         except OverflowError:  # a float power past the float range
             rhs = np.inf
     # evaluating the cost of an exact solution already leaves rounding dust
     # of this size, so the comparison needs an absolute floor
-    floor = (1e2 * np.finfo(float).eps) ** 2 * a.total_sq_norm()
-    return _upper_report(lhs, rhs, components, abs_slack=floor)
+    floor = (1e2 * np.finfo(float).eps) ** 2 * b.total_sq_norm()
+    report = _upper_report(lhs, rhs, components, abs_slack=floor)
+    return replace(report, lhs=float(a.rescale(lhs, 2)), rhs=float(a.rescale(rhs, 2)))
 
 
 def verify_imag_bound(a, z, delta):

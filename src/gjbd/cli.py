@@ -337,13 +337,16 @@ def cmd_check(args):
     cfg = SolverConfig()
     if args.result is not None:
         solution, method, cfg = _load_result(args.result, a.n)
-        recomputed = cost_ls(a, solution.partition, solution.w)
-        match = math.isclose(recomputed, solution.cost, rel_tol=1e-12) or (
-            solution.cost == 0.0 and recomputed <= 1e-12 * a.total_sq_norm()
+        # judged on the set's unit, where the cost is finite; reported at
+        # the set's scale
+        b = a.unit
+        recomputed = cost_ls(b, solution.partition, solution.w)
+        match = math.isclose(a.rescale(solution.cost, -2), recomputed, rel_tol=1e-12) or (
+            solution.cost == 0.0 and recomputed <= 1e-12 * b.total_sq_norm()
         )
         doc["cost"] = {
             "stored": solution.cost,
-            "recomputed": recomputed,
+            "recomputed": float(a.rescale(recomputed, 2)),
             "match": bool(match),
         }
         all_ok = all_ok and match

@@ -48,8 +48,9 @@ class MatrixSet:
 
     The set owns its power-of-two scale: each computation homogeneous in the
     set (the near-null kernel, :func:`pair_grams`, the costs, the
-    imaginary-part bound and consv) runs on ``unit`` and reports at the
-    set's scale by :meth:`rescale`.
+    off-block and imaginary-part bounds, ``gjbd check``'s cost match and
+    consv) runs on ``unit`` and reports at the set's scale by
+    :meth:`rescale`.
 
     Attributes
     ----------
@@ -574,12 +575,12 @@ def basis_excluding_identity(b):
 
 
 def trace_gram(zs):
-    """Gram-type matrix ``H`` with ``H[j, k] = trace(Z_j @ Z_k)``."""
-    ell = len(zs)
-    h = np.empty((ell, ell))
-    for j in range(ell):
-        for k in range(j, ell):
-            v = float(np.sum(zs[j] * zs[k].T))
-            h[j, k] = v
-            h[k, j] = v
-    return h
+    """Gram-type matrix ``H`` with ``H[j, k] = trace(Z_j @ Z_k)``.
+
+    Each entry ``j <= k`` sums the n² products ``Z_j * Z_k.T`` as one
+    contiguous row, so it has the bits of ``np.sum(zs[j] * zs[k].T)``; the
+    lower triangle mirrors the upper one, so ``H`` is exactly symmetric.
+    """
+    zs = np.asarray(zs, dtype=float)
+    h = (zs[:, None] * zs.transpose(0, 2, 1)[None]).reshape(len(zs), len(zs), -1).sum(axis=-1)
+    return np.triu(h) + np.triu(h, 1).T

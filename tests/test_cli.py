@@ -451,17 +451,21 @@ class TestCheck:
     @pytest.mark.parametrize("method", ["exact", "greedy"])
     def test_imag_bounds_past_the_float_range(self, tmp_path, method):
         # squared inner products of the set times 2**664 pass the float
-        # range; the imaginary-part bounds are those of the unscaled set
+        # range; the imaginary-part bounds are those of the unscaled set.
+        # The stored cost there is inf, which no finite cost on the set's
+        # unit matches, so check fails the cost match
         inst = generate_model(Partition((2, 2, 2)), 4, np.inf, 0)
         reports = {}
-        for k in (0, 664):
+        for k, code in ((0, EXIT_OK), (664, EXIT_CHECK_FAILED)):
             inp = tmp_path / f"set-{k}.json"
             inp.write_text(json.dumps(matrix_set_document(MatrixSet(np.ldexp(inst.a.mats, k)))))
             res = tmp_path / f"res-{k}.json"
             assert run("solve", inp, "--method", method, "--out", res) == EXIT_OK
             out = tmp_path / f"check-{k}.json"
-            assert run("check", inp, "--result", res, "--bounds", "--out", out) == EXIT_OK
-            bounds = json.loads(out.read_text())["bounds"]
+            assert run("check", inp, "--result", res, "--bounds", "--out", out) == code
+            rep = json.loads(out.read_text())
+            assert rep["cost"]["match"] is (k == 0)
+            bounds = rep["bounds"]
             reports[k] = [(r["lhs"], r["rhs"], r["satisfied"])
                           for r in bounds["imag"] + bounds["split_imag"]]
         assert len(reports[0]) == 12 and all(ok for _, _, ok in reports[0])
@@ -479,6 +483,33 @@ class TestCheck:
         assert json.loads(res.read_text())["partition"] == [2, 2, 2]
         out = tmp_path / "check.json"
         assert run("check", inp, "--result", res, "--bounds", "--out", out) == EXIT_OK
+
+    @pytest.mark.parametrize("scale", [515, -540])
+    @pytest.mark.parametrize("method", ["greedy", "consv"])
+    def test_cost_past_the_float_range_fails_the_match(self, tmp_path, method, scale):
+        # the set times 2**515, epsilon alike: the stored cost is inf, which
+        # once matched the recomputed inf, and both sides of the off-block
+        # bounds read inf and passed unchecked. Times 2**-540 the stored
+        # cost underflows to 0 or a subnormal, which once matched the
+        # recomputed one at that scale. On the set's unit the cost is
+        # finite and normal, so the match fails, and the bounds get the
+        # unscaled set's verdicts
+        a = generate_model(Partition((3, 3, 3)), 20, 40.0, 0).a
+        verdicts = {}
+        for k, code in ((0, EXIT_OK), (scale, EXIT_CHECK_FAILED)):
+            inp = tmp_path / f"set-{k}.json"
+            inp.write_text(json.dumps(matrix_set_document(MatrixSet(np.ldexp(a.mats, k)))))
+            res = tmp_path / f"res-{k}.json"
+            eps = repr(float(np.ldexp(2.43, k)))  # 3 n^2 10^(-SNR/20)
+            assert run("solve", inp, "--method", method, "--epsilon", eps, "--out", res) == EXIT_OK
+            out = tmp_path / f"check-{k}.json"
+            assert run("check", inp, "--result", res, "--bounds", "--out", out) == code
+            rep = json.loads(out.read_text())
+            assert rep["cost"]["match"] is (k == 0)
+            verdicts[k] = {key: report["satisfied"] for key, report in rep["bounds"].items()
+                           if key.endswith("offblock")}
+        assert "split_offblock" in verdicts[0]
+        assert verdicts[scale] == verdicts[0]
 
     def test_exact_result_passes_every_check(self, tmp_path):
         # the benchmark's exact-diagnose run of check on every instance

@@ -683,5 +683,8 @@ class TestTraceGram:
         zs = [rng.standard_normal((4, 4)) for _ in range(4)]
         h = trace_gram(zs)
         assert np.array_equal(h, h.T)
+        # the upper triangle has the bits of the entrywise sum of each pair
+        assert all(h[j, k] == float(np.sum(zs[j] * zs[k].T))
+                   for j in range(4) for k in range(j, 4))
         want = np.array([[np.trace(zi @ zj) for zj in zs] for zi in zs])
         assert np.allclose(h, want, atol=1e-12)

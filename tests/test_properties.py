@@ -10,7 +10,9 @@ as far as its entries stay normal, gets the same near-null bases and the
 same greedy and exact answers to the bit, and its singular values and
 threshold scaled by that power; with epsilon scaled alike, it gets consv's
 ordered partition and ``W`` to the bit, and its cost scaled by the square
-of that power.
+of that power.  With delta scaled alike, it gets the off-block bound's
+verdict of the unscaled set, violated or not, also where its cost passes
+the float range.
 
 Contract: on every drawn set, each solver returns a ``Solution`` that
 passes ``check_solution_invariants`` or raises a ``NumericalError``; the
@@ -24,9 +26,10 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gjbd.analysis import verify_offblock_bound
 from gjbd.cli import (
     EXIT_CHECK_FAILED,
     EXIT_NUMERICAL,
@@ -40,11 +43,13 @@ from gjbd.matkernels import NumericalError
 from gjbd.nullspace import MatrixSet, delta_nullspace, exact_nullspace
 from gjbd.partition import Partition
 from gjbd.solvers import (
+    Solution,
     SolverConfig,
     UnsplittableError,
     conservative_solve,
     exact_solve,
     greedy_solve,
+    greedy_solve_with_trace,
     one_step_split,
 )
 from test_nullspace import FUZZ_KINDS, fuzz_set
@@ -167,6 +172,35 @@ def test_consv_answer_scales_exactly(kind, seed, data):
     assert moved.w.tobytes() == base.w.tobytes()
     if np.isfinite(moved.cost) and moved.cost != 0.0:
         assert moved.cost == np.ldexp(base.cost, 2 * k)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["greedy", "random w"]), seed=_SEEDS, k=st.integers(-1000, 1000))
+@example(kind="random w", seed=0, k=515)
+def test_offblock_verdict_scales_exactly(kind, seed, k):
+    # the bound is homogeneous of degree 2 in the set and delta, so their
+    # power-of-two multiple gets the same verdict, also where its cost
+    # passes the float range; a random W and z violate the bound
+    rng = np.random.default_rng(seed)
+    if kind == "greedy":
+        a = generate_model(Partition((2, 3)), 8, 40.0, seed).a
+        solution, trace = greedy_solve_with_trace(a, SolverConfig(seed=seed))
+        assume(trace.z is not None)
+        z, delta = trace.z, trace.delta
+    else:
+        a = MatrixSet(rng.standard_normal((3, 8, 8)))
+        z, delta = rng.standard_normal((8, 8)), 1e-3
+        solution = Solution(partition=Partition((1, 2, 3, 2)), w=rng.standard_normal((8, 8)),
+                            cost=0.0)
+    lo, hi = _normal_exponents(np.append(a.mats, delta))
+    assume(lo <= k <= hi)
+    base = verify_offblock_bound(a, z, delta, solution)
+    moved = verify_offblock_bound(MatrixSet(np.ldexp(a.mats, k)), z, float(np.ldexp(delta, k)),
+                                  solution)
+    assert moved.satisfied == base.satisfied
+    for got, want in ((moved.lhs, base.lhs), (moved.rhs, base.rhs)):
+        if np.isfinite(got) and got != 0.0:
+            assert got == np.ldexp(want, 2 * k)
 
 
 _SOLVERS = (

@@ -35,7 +35,8 @@ def check_solution_invariants(a, solution, tol=1e-12):
     assert np.linalg.norm(bdiag(w.T @ w, solution.partition) - np.eye(n)) <= tol * n
     recomputed = cost_ls(a, solution.partition, w)
     scale = max(recomputed, solution.cost, 1e-30)
-    # equal infinities, a cost past the float range, match as in gjbd check
+    # a library Solution whose cost passes the float range carries inf, and
+    # the recomputed cost is inf alike
     assert recomputed == solution.cost or abs(recomputed - solution.cost) <= 1e-12 * scale
 
 
