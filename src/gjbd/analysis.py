@@ -247,6 +247,14 @@ def equivalence_check(a, p, w):
     """Test whether all exact solutions sharing the structure of ``(p, w)``
     are equivalent.
 
+    The test reads the answer, not its basis or scale: each block of
+    columns of ``w`` is orthonormalized by :func:`normalize`, the solvers'
+    own per-block QR, and the set is read on ``a.unit``.  So ``w`` and
+    ``w @ Bdiag(S_j)`` with nonsingular ``S_j``, and every power-of-two
+    multiple of the set, get one verdict, as the paper's condition asks:
+    it concerns solutions up to block permutations and block-diagonal
+    factors.
+
     A block pair is flagged when the Gram matrix of its coupling equations
     in the block diagonal part of ``w.T A_i w``
     (:func:`gjbd.nullspace.pair_grams`) is numerically singular, that is,
@@ -264,7 +272,8 @@ def equivalence_check(a, p, w):
     a : MatrixSet
     p : Partition
     w : ndarray, shape (n, n)
-        (Approximate) solution pair for ``a``.
+        (Approximate) solution pair for ``a``; only the column space of
+        each block of ``p`` is read.
 
     Returns
     -------
@@ -277,11 +286,14 @@ def equivalence_check(a, p, w):
     ------
     ValueError
         When ``p`` or ``w`` does not match the order of ``a``.
+    DegenerateBlockBasisError
+        When a block of columns of ``w`` is numerically rank deficient, so
+        that ``(p, w)`` is no solution to test.
     """
-    w = np.asarray(w, dtype=float)
-    if p.n != a.n or w.shape != (a.n, a.n):
+    if p.n != a.n or np.shape(w) != (a.n, a.n):
         raise ValueError("partition and w must match the order of the matrix set")
-    compressed = w.T @ a.mats @ w
+    w = normalize(w, p)
+    compressed = w.T @ a.unit.mats @ w
     singular_pairs = []
     for pairs, grams in pair_grams(MatrixSet(bdiag(compressed, p)), p):
         evals = np.linalg.eigvalsh(grams)  # one call over the pairs' stack

@@ -17,6 +17,7 @@ import time
 import numpy as np
 
 from .analysis import (
+    bdiag,
     cost_ls,
     equivalence_check,
     gap_lower_bound,
@@ -25,7 +26,7 @@ from .analysis import (
     verify_offblock_bound,
 )
 from .datagen import generate_model, noise_level
-from .matkernels import NumericalError
+from .matkernels import NumericalError, _orthonormal_basis
 from .nullspace import MatrixSet
 from .partition import Partition, partition_equivalent
 from .solvers import (
@@ -45,6 +46,9 @@ EXIT_CHECK_FAILED = 4
 EXIT_NUMERICAL = 5
 
 _METHODS = ("greedy", "consv", "exact")
+# largest entry of Bdiag(W.T W) - I that a result's w may hold; every solver
+# answer has orthonormal blocks
+_GRAM_TOL = 1e-8
 
 
 class InputError(Exception):
@@ -124,6 +128,16 @@ def _matrix_from_flat(flat, n, what):
     return arr.reshape((n, n))  # row-major on disk
 
 
+def _nonsingular(mat, what):
+    # the rank rule of the package's subspace bases:
+    # sigma_min <= max(shape) * eps * sigma_max is rank deficient
+    try:
+        _orthonormal_basis(mat)
+    except ValueError as exc:
+        raise InputError(f"{what} is numerically rank deficient") from exc
+    return mat
+
+
 def load_matrix_set_file(path):
     """Parse a matrix-set JSON document.
 
@@ -143,7 +157,7 @@ def load_matrix_set_file(path):
     mats = np.array([_matrix_from_flat(row, n, f"matrix {i}") for i, row in enumerate(matrices)])
     v_inv = None
     if doc.get("v_inv") is not None:
-        v_inv = _matrix_from_flat(doc["v_inv"], n, "v_inv")
+        v_inv = _nonsingular(_matrix_from_flat(doc["v_inv"], n, "v_inv"), f"{path}: v_inv")
     p_true = None
     if doc.get("p_true") is not None:
         p_true = _partition_from_json(doc["p_true"], n, f"{path}: p_true")
@@ -324,6 +338,12 @@ def _load_result(path, n):
         raise InputError(f"{path}: result method must be one of {', '.join(_METHODS)}")
     if not _is_number(cost):
         raise InputError(f"{path}: result cost must be a number")
+    # no entry of an orthonormal column exceeds 1, and checking that first
+    # keeps w.T @ w in the float range
+    if (np.max(np.abs(w)) > 1.0 + _GRAM_TOL
+            or np.max(np.abs(bdiag(w.T @ w, partition) - np.eye(n))) > _GRAM_TOL):
+        raise InputError(f"{path}: the blocks of result w are not orthonormal")
+    _nonsingular(w, f"{path}: result w")
     cfg = _load_parameters(doc.get("parameters", {}), path)
     return Solution(partition=partition, w=w, cost=float(cost)), method, cfg
 

@@ -48,9 +48,9 @@ class MatrixSet:
 
     The set owns its power-of-two scale: each computation homogeneous in the
     set (the near-null kernel, :func:`pair_grams`, the costs, the
-    off-block and imaginary-part bounds, ``gjbd check``'s cost match and
-    consv) runs on ``unit`` and reports at the set's scale by
-    :meth:`rescale`.
+    off-block and imaginary-part bounds, ``gjbd check``'s cost match,
+    consv and the equivalence test) runs on ``unit`` and reports at the
+    set's scale by :meth:`rescale`.
 
     Attributes
     ----------

@@ -18,7 +18,7 @@ from gjbd.analysis import (
     verify_offblock_bound,
 )
 from gjbd.datagen import generate_model
-from gjbd.matkernels import largest_principal_angle, sep_lower
+from gjbd.matkernels import DegenerateBlockBasisError, largest_principal_angle, sep_lower
 from gjbd.nullspace import MatrixSet
 from gjbd.partition import Partition
 from gjbd.solvers import (
@@ -541,6 +541,15 @@ class TestEquivalenceCheck:
         want = equivalence_check(inst.a, inst.p_true, w)
         assert want[0]
         assert equivalence_check(MatrixSet(scale * inst.a.mats), inst.p_true, w) == want
+
+    def test_rank_deficient_block_raises(self):
+        # the block's two columns span one dimension, so (p, w) is no
+        # solution to test
+        inst = generate_model(Partition((2, 2)), 4, np.inf, 0)
+        w = inst.v_inv()
+        w[:, 1] = 3.0 * w[:, 0]
+        with pytest.raises(DegenerateBlockBasisError):
+            equivalence_check(inst.a, inst.p_true, w)
 
 
 class TestVerifyOffblockBound:

@@ -12,6 +12,7 @@ import gjbd.cli
 import gjbd.matkernels
 import gjbd.nullspace
 import gjbd.solvers
+from gjbd.analysis import cost_ls
 from gjbd.cli import (
     EXIT_CHECK_FAILED,
     EXIT_NUMERICAL,
@@ -447,6 +448,43 @@ class TestCheck:
         rep = json.loads(out.read_text())
         assert rep["equivalence"] == {"all_equivalent": True, "singular_pairs": [],
                                       "per_block_spectra_ok": True}
+
+    def test_equivalence_of_a_large_truth_at_the_top_of_the_float_range(self, tmp_path):
+        # the set's unit times 2**1020, with a true v_inv whose entries reach
+        # 518: w.T A_i w at the set's own scale overflowed, and check
+        # rejected the set as malformed
+        inst = generate_model(Partition((3, 3, 3)), 20, 40.0, 2)
+        reports = {}
+        for k in (0, 1020):
+            doc = matrix_set_document(MatrixSet(np.ldexp(inst.a.unit.mats, k)),
+                                      v_inv=inst.v_inv(), p_true=inst.p_true)
+            inp = tmp_path / f"set-{k}.json"
+            inp.write_text(json.dumps(doc))
+            out = tmp_path / f"check-{k}.json"
+            assert run("check", inp, "--equivalence", "--out", out) == EXIT_OK
+            reports[k] = json.loads(out.read_text())["equivalence"]
+        assert reports[1020] == reports[0]
+
+    @pytest.mark.parametrize("edit", ["zero", "times-1e-3", "times-1e200", "repeated-block"])
+    def test_result_w_must_be_an_answer(self, tmp_path, capsys, edit):
+        # a w that is singular or whose blocks are not orthonormal is no
+        # solver's answer; stored with its recomputed cost, it passed check
+        # (times 1e200 its cost is inf, and forming w.T @ w would overflow)
+        inp = synth(tmp_path, "set.json", "3,3,3", 6, "inf", 0)
+        res = tmp_path / "res.json"
+        assert run("solve", inp, "--method", "exact", "--out", res) == EXIT_OK
+        doc = json.loads(res.read_text())
+        assert doc["partition"] == [3, 3, 3]
+        w = np.array(doc["w"]).reshape(9, 9)
+        w = {"zero": 0.0 * w, "times-1e-3": 1e-3 * w, "times-1e200": 1e200 * w,
+             "repeated-block": np.hstack([w[:, :3], w[:, :3], w[:, 6:]])}[edit]
+        with np.errstate(over="ignore"):
+            cost = cost_ls(load_matrix_set_file(inp)[0], Partition((3, 3, 3)), w)
+        doc.update(w=w.flatten().tolist(), cost=cost)
+        res.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("check", inp, "--result", res, "--out", tmp_path / "check.json") == EXIT_PARSE
+        assert "result w" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["exact", "greedy"])
     def test_imag_bounds_past_the_float_range(self, tmp_path, method):

@@ -14,6 +14,11 @@ of that power.  With delta scaled alike, it gets the off-block bound's
 verdict of the unscaled set, violated or not, also where its cost passes
 the float range.
 
+Equivalence: the equivalence test reads the answer, not its basis or
+scale, so a power-of-two multiple of the set, as far as its entries stay
+normal, and ``W @ Bdiag(S_j)`` with block transforms of condition up to
+1e6 get the verdict of the set and ``W``.
+
 Contract: on every drawn set, each solver returns a ``Solution`` that
 passes ``check_solution_invariants`` or raises a ``NumericalError``; the
 two-block split returns such a ``Solution`` with two blocks or raises an
@@ -26,10 +31,11 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gjbd.analysis import verify_offblock_bound
+from gjbd.analysis import equivalence_check, verify_offblock_bound
 from gjbd.cli import (
     EXIT_CHECK_FAILED,
     EXIT_NUMERICAL,
@@ -52,6 +58,7 @@ from gjbd.solvers import (
     greedy_solve_with_trace,
     one_step_split,
 )
+from oracles import nonunique_example
 from test_nullspace import FUZZ_KINDS, fuzz_set
 from test_solvers import check_solution_invariants
 
@@ -201,6 +208,58 @@ def test_offblock_verdict_scales_exactly(kind, seed, k):
     for got, want in ((moved.lhs, base.lhs), (moved.rhs, base.rhs)):
         if np.isfinite(got) and got != 0.0:
             assert got == np.ldexp(want, 2 * k)
+
+
+# exact sets (block sizes, m) whose true v_inv the equivalence property reads
+_EXACT_CASES = {f"{sizes} m={m}": (sizes, m)
+                for sizes in ((2, 2, 2, 2), (3, 3, 3), (1, 2, 3), (2, 2, 2)) for m in range(3, 7)}
+_EXACT_CASES["(2,)*8 m=4"] = ((2,) * 8, 4)
+
+
+def _block_transform(p, cond, rng):
+    """Bdiag(S_j) with S_j = Q1 diag(logspace(0, log10 cond)) Q2 for a
+    block of two or more columns, and cond**U(-1, 1) for a single column."""
+    blocks = []
+    for size in p.sizes:
+        if size == 1:
+            blocks.append(np.array([[cond ** rng.uniform(-1.0, 1.0)]]))
+        else:
+            q1, q2 = (_orthogonal(size, int(rng.integers(2**32))) for _ in range(2))
+            blocks.append(q1 @ np.diag(np.logspace(0.0, np.log10(cond), size)) @ q2)
+    return scipy.linalg.block_diag(*blocks)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(kind=st.sampled_from([*_EXACT_CASES, "non-unique"]), seed=_SEEDS,
+       cond=st.sampled_from([1e2, 1e4, 1e6]), k=st.integers(-1100, 1100))
+@example(kind="(3, 3, 3) m=3", seed=0, cond=1e6, k=0)
+@example(kind="(1, 2, 3) m=3", seed=26700, cond=1e2, k=0)  # its 1x1 block times 0.07
+def test_equivalence_verdict_ignores_basis_and_scale(kind, seed, cond, k):
+    # k is clipped to the exponents that keep the set's entries normal, so
+    # both ends of that range, where w.T A_i w at the set's own scale
+    # underflows or overflows, are drawn often.  On the non-unique fixture
+    # under a random congruence only the singular pairs are compared: its
+    # blocks are near-defective, and their spectra samples are judged
+    # against a fixed relative tolerance
+    rng = np.random.default_rng(seed)
+    if kind == "non-unique":
+        base, w4 = nonunique_example(*rng.uniform(0.5, 2.0, (2, 3)) * rng.choice([-1, 1], (2, 3)))
+        v = rng.standard_normal((4, 4))
+        a, p = MatrixSet(v.T @ base.mats @ v), Partition((2, 2))
+        w = np.linalg.solve(v, w4 if rng.integers(2) else np.eye(4))
+    else:
+        sizes, m = _EXACT_CASES[kind]
+        inst = generate_model(Partition(sizes), m, np.inf, seed)
+        a, p, w = inst.a, inst.p_true, inst.v_inv()
+    want = equivalence_check(a, p, w)
+    lo, hi = _normal_exponents(a.mats)
+    got = equivalence_check(MatrixSet(np.ldexp(a.mats, min(max(k, lo), hi))), p,
+                            w @ _block_transform(p, cond, rng))
+    if kind == "non-unique":
+        assert want[1] == [(0, 1)]
+        assert got[1] == want[1]
+    else:
+        assert got == want
 
 
 _SOLVERS = (
