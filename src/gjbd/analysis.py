@@ -7,18 +7,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .matkernels import _largest_angle, _orthonormal_basis, _sep_stacked, economic_qr
-from .nullspace import MatrixSet, basis_excluding_identity, exact_nullspace, pair_grams
+from .nullspace import MatrixSet, basis_excluding_identity, exact_nullspace, pair_grams, trace_gram
 
 _REL_SLACK = 1e-8
 
-# random null-space elements whose spectra the equivalence test checks per
-# block, drawn from a fixed seed so the test is deterministic
-_SPECTRA_SAMPLES = 20
-_SPECTRA_SEED = 0
-# a sample f has one real eigenvalue or one conjugate pair when the real
-# parts, and the absolute imaginary parts, each spread by at most this
-# times ||f||_F
-_SPECTRA_TOL_REL = 1e-6
+# a block holds one real eigenvalue or one conjugate pair when no unit
+# trace-free member Y of its null space has trace(Y @ Y) above this: the
+# square of a relative eigenvalue spread of 1e-6, since a unit member whose
+# eigenvalues spread by 1e-6 has a trace form of about (1e-6)**2, or
+# (1e-6)**2 / 2 for two values
+_TRACE_FORM_TOL = 1e-6 ** 2
 # relative trace under which gap_lower_bound takes z as trace-free
 _TRACE_TOL = 1e-8
 
@@ -235,12 +233,11 @@ def performance_index(v_inv, w, p_true, p_hat):
     return None if np.isinf(best) else float(best)
 
 
-def _single_value_or_pair(f):
-    # one real eigenvalue or one conjugate pair, in whatever order LAPACK
-    # returns them
-    evals = np.linalg.eigvals(f)
-    tol = _SPECTRA_TOL_REL * np.linalg.norm(f)
-    return np.ptp(evals.real) <= tol and np.ptp(np.abs(evals.imag)) <= tol
+def _one_cluster(members):
+    # the largest trace form over the span of orthonormal trace-free
+    # members, at most _TRACE_FORM_TOL when every member has one real
+    # eigenvalue or one conjugate pair
+    return not members or np.linalg.eigvalsh(trace_gram(members))[-1] <= _TRACE_FORM_TOL
 
 
 def equivalence_check(a, p, w):
@@ -258,14 +255,25 @@ def equivalence_check(a, p, w):
     A block pair is flagged when the Gram matrix of its coupling equations
     in the block diagonal part of ``w.T A_i w``
     (:func:`gjbd.nullspace.pair_grams`) is numerically singular, that is,
-    when the pair's equations admit a nonzero solution.  Also samples
-    random trace-free elements ``f`` of each block's exact null space and
-    checks that their eigenvalues form a single real value or a single
-    conjugate pair: the real parts must spread by at most
-    ``_SPECTRA_TOL_REL * ||f||_F``, and so must the absolute imaginary
-    parts, whatever order the eigenvalues come in.  The identity, which
-    shifts every eigenvalue alike, is left out, so a block whose null space
-    holds only the identity is not sampled.
+    when the pair's equations admit a nonzero solution.
+
+    A block passes when every member of its exact null space has one real
+    eigenvalue or one conjugate pair.  That is read from one number per
+    block, with no samples drawn: the largest eigenvalue of the trace Gram
+    matrix (:func:`gjbd.nullspace.trace_gram`) of the block's orthonormal
+    trace-free null members (:func:`gjbd.nullspace.basis_excluding_identity`),
+    the largest ``trace(Y @ Y)`` over its unit trace-free members ``Y``.
+    The members are closed under powers, since ``A Z = Z.T A`` gives
+    ``A Z**2 = Z.T A Z = (Z**2).T A``, and the identity is a member.  So if
+    every member has one real eigenvalue or one conjugate pair, every
+    trace-free member has eigenvalues 0 or ``+-ib`` and ``trace(Y @ Y) <= 0``;
+    if some member has two clusters, a real polynomial in it has two
+    distinct real eigenvalues, and its trace-free part has
+    ``trace(Y @ Y) > 0``.  The value is smooth in the members, where
+    eigenvalues near a Jordan block move like the square root of rounding.
+    It is compared with ``_TRACE_FORM_TOL = (1e-6)**2``, the trace form of a
+    unit member whose eigenvalues spread by ``1e-6``.  A block whose null
+    space holds only the identity has no trace-free member and passes.
 
     Parameters
     ----------
@@ -281,6 +289,8 @@ def equivalence_check(a, p, w):
     singular_pairs : list of (int, int)
         0-based block pairs whose Gram matrix is numerically singular.
     per_block_spectra_ok : bool
+        Whether every block's largest trace form is at most
+        ``_TRACE_FORM_TOL``.
 
     Raises
     ------
@@ -301,12 +311,9 @@ def equivalence_check(a, p, w):
                            if ev[0] <= 1e3 * np.finfo(float).eps * ev[-1]]
     singular_pairs.sort()
 
-    rng = np.random.default_rng(_SPECTRA_SEED)
-    bases = (basis_excluding_identity(exact_nullspace(MatrixSet(compressed[:, sl, sl])))
-             for sl in p.slices())
-    samples = (sum(c * z for c, z in zip(rng.standard_normal(len(basis)), basis))
-               for basis in bases if basis for _ in range(_SPECTRA_SAMPLES))
-    spectra_ok = all(map(_single_value_or_pair, samples))
+    members = (basis_excluding_identity(exact_nullspace(MatrixSet(compressed[:, sl, sl])))
+               for sl in p.slices())
+    spectra_ok = all(map(_one_cluster, members))
     all_equivalent = (not singular_pairs) and spectra_ok
     return all_equivalent, singular_pairs, spectra_ok
 

@@ -222,6 +222,9 @@ def cmd_solve(args):
         "partition": list(solution.partition.sizes),
         "w": solution.w.flatten().tolist(),
         "cost": solution.cost,
+        # the cost on the set's unit, finite where the cost passes the float range
+        "unit_cost": cost_ls(a.unit, solution.partition, solution.w),
+        "exponent": a.exponent,
         "no_split": solution.no_split,
     }
     doc.update(_score(v_inv, p_true, solution))
@@ -326,11 +329,22 @@ def _load_parameters(params, path):
         raise InputError(f"{path}: parameters: {exc}") from exc
 
 
-def _load_result(path, n):
+def _ldexp(x, k):
+    # x * 2**k for any int k, inf past the float range
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _load_result(path, a):
+    """The Solution, method and SolverConfig of a result document, and its
+    cost on ``a.unit``: from ``unit_cost`` and ``exponent`` where the file
+    states both, else from ``cost``."""
     doc = _load_json(path)
     try:
-        partition = _partition_from_json(doc["partition"], n, f"{path}: result partition")
-        w = _matrix_from_flat(doc["w"], n, "result w")
+        partition = _partition_from_json(doc["partition"], a.n, f"{path}: result partition")
+        w = _matrix_from_flat(doc["w"], a.n, "result w")
         cost, method = doc["cost"], doc["method"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed result document") from exc
@@ -341,11 +355,21 @@ def _load_result(path, n):
     # no entry of an orthonormal column exceeds 1, and checking that first
     # keeps w.T @ w in the float range
     if (np.max(np.abs(w)) > 1.0 + _GRAM_TOL
-            or np.max(np.abs(bdiag(w.T @ w, partition) - np.eye(n))) > _GRAM_TOL):
+            or np.max(np.abs(bdiag(w.T @ w, partition) - np.eye(a.n))) > _GRAM_TOL):
         raise InputError(f"{path}: the blocks of result w are not orthonormal")
     _nonsingular(w, f"{path}: result w")
+    unit_cost = a.rescale(cost, -2)
+    if "unit_cost" in doc and "exponent" in doc:
+        unit_cost, exponent = doc["unit_cost"], doc["exponent"]
+        if not (_is_number(unit_cost) and _is_int(exponent)):
+            raise InputError(f"{path}: result unit_cost must be a number and result "
+                             "exponent an integer")
+        stated = _ldexp(unit_cost, 2 * exponent)
+        if math.isfinite(stated) and stated != cost:
+            raise InputError(f"{path}: result cost differs from unit_cost * 4**exponent")
+        unit_cost = _ldexp(unit_cost, 2 * (exponent - a.exponent))
     cfg = _load_parameters(doc.get("parameters", {}), path)
-    return Solution(partition=partition, w=w, cost=float(cost)), method, cfg
+    return Solution(partition=partition, w=w, cost=float(cost)), method, cfg, float(unit_cost)
 
 
 def cmd_check(args):
@@ -356,13 +380,13 @@ def cmd_check(args):
     solution = method = None
     cfg = SolverConfig()
     if args.result is not None:
-        solution, method, cfg = _load_result(args.result, a.n)
+        solution, method, cfg, unit_cost = _load_result(args.result, a)
         # judged on the set's unit, where the cost is finite; reported at
         # the set's scale
         b = a.unit
         recomputed = cost_ls(b, solution.partition, solution.w)
-        match = math.isclose(a.rescale(solution.cost, -2), recomputed, rel_tol=1e-12) or (
-            solution.cost == 0.0 and recomputed <= 1e-12 * b.total_sq_norm()
+        match = math.isclose(unit_cost, recomputed, rel_tol=1e-12) or (
+            unit_cost == 0.0 and recomputed <= 1e-12 * b.total_sq_norm()
         )
         doc["cost"] = {
             "stored": solution.cost,

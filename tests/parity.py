@@ -1,7 +1,8 @@
-"""Parity harness: answers on a fixed list of sets, and the changes between
-two lists of answers.
+"""Parity harness: answers on a fixed list of sets, the command line's
+outputs on a fixed list of runs, and the changes between two such lists.
 
     PYTHONPATH=src python tests/parity.py solve answers.json
+    PYTHONPATH=src python tests/parity.py cli outputs.json
     PYTHONPATH=src python tests/parity.py compare before.json after.json
 
 ``solve`` runs the 333 parity sets with the ``gjbd`` found on the path,
@@ -18,6 +19,15 @@ ordered partition, the performance index (null when the blocks do not group
 into the true ones), the cost and a SHA-256 hash of ``W``, or the error a
 solve raised.
 
+``cli`` runs ``gjbd.cli.main`` in a temporary directory, BLAS pinned alike,
+on the sets of ``CLI_SETS`` with seeds 0 and 1 and on the paper's
+non-unique 4x4 fixture: ``synth`` (the fixture is written by
+``matrix_set_document``), ``check --bounds --equivalence`` on the truth,
+``solve`` with greedy, consv and exact, ``check --result --bounds
+--equivalence`` on each result, then one ``bench``.  For each run it writes
+the arguments, the exit code and SHA-256 hashes of the output file (null
+when none was written) and of the standard error.
+
 ``compare`` counts the answers whose ordered partition changed and those
 whose block multiset changed, lists the latter and counts them by method
 and SNR, and gives per method the number of answers with the same
@@ -25,14 +35,19 @@ partition whose ``W`` is byte-identical, the number whose performance index
 is bit-identical (two nulls count as equal), the number whose cost is
 bit-identical and the largest change of the performance index among them.
 It reads only the two files, and like ``cmp`` it exits 1 when any ordered
-partition, error, ``W`` hash or cost differs, else 0.
+partition, error, ``W`` hash or cost differs, else 0.  Given two ``cli``
+files it lists the runs whose exit code or hashes differ, and exits 1 when
+any does.
 The file name keeps pytest from collecting it.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
+import tempfile
 from collections import Counter
 
 # BLAS reads its thread count when it is loaded, so the pin must precede
@@ -46,6 +61,10 @@ SNRS = (20.0, 40.0, 60.0, 80.0)
 NOISY = (((3, 3, 3), 12), ((1, 2, 3, 4), 12), ((4, 4, 4, 4), 6), ((5, 5, 5, 5), 6))
 EXACT = (((2,) * 8, 4), ((3, 3, 3), 20), ((1, 2, 3, 4), 6))
 EXACT_SEEDS = 15
+# (block sizes, m, SNR) of the command-line sweep, each with seeds 0 and 1
+CLI_SETS = (((3, 3, 3), 20, 20.0), ((3, 3, 3), 20, 40.0), ((3, 3, 3), 20, np.inf),
+            ((1, 2, 3, 4), 20, 40.0), ((2,) * 8, 4, np.inf), ((2, 3), 8, 40.0),
+            ((5, 5, 5, 5), 20, 40.0))
 
 
 def parity_cases():
@@ -120,13 +139,104 @@ def solve(path):
     print(f"{len(records)} answers, {errors} errors, written to {path}")
 
 
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def cli_run(argv):
+    """One ``gjbd.cli.main`` call in the current directory: its record."""
+    from gjbd.cli import main
+
+    out = argv[argv.index("--out") + 1]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    written = None
+    if os.path.exists(out):
+        with open(out, "rb") as f:
+            written = sha256(f.read())
+    return {"argv": argv, "exit": code, "out_sha256": written,
+            "stderr_sha256": sha256(err.getvalue().encode())}
+
+
+def cli_set_runs(name, synth_argv, epsilon, seed):
+    """The records of one set: its synth run (none for a written set), the
+    truth check, and a solve and check per method."""
+    records = [cli_run(synth_argv)] if synth_argv else []
+    records.append(cli_run(["check", name, "--bounds", "--equivalence",
+                            "--out", f"truth-{name}"]))
+    for method in ("greedy", "consv", "exact"):
+        result = f"{method}-{name}"
+        records.append(cli_run(["solve", name, "--method", method, "--seed", str(seed),
+                                "--epsilon", repr(epsilon), "--out", result]))
+        records.append(cli_run(["check", name, "--result", result, "--bounds",
+                                "--equivalence", "--out", f"check-{result}"]))
+    return records
+
+
+def cli_outputs():
+    """The records of the command-line sweep, run in the current directory."""
+    from gjbd.cli import matrix_set_document
+    from gjbd.partition import Partition
+    from oracles import nonunique_example
+
+    records = []
+    for sizes, m, snr in CLI_SETS:
+        n = sum(sizes)
+        # consv's tolerance as in the parity sets; 1e-6 on an exact set
+        epsilon = 1e-6 if snr == np.inf else 3 * n ** 2 * 10 ** (-snr / 20)
+        for seed in (0, 1):
+            name = f"set-{'-'.join(map(str, sizes))}-m{m}-{snr:g}-s{seed}.json"
+            synth_argv = ["synth", "--partition", ",".join(map(str, sizes)), "--m", str(m),
+                          "--snr", f"{snr:g}", "--seed", str(seed), "--out", name]
+            records += cli_set_runs(name, synth_argv, epsilon, seed)
+    a, _ = nonunique_example([1.0, -0.4, 2.2], [0.8, 1.5, -1.0])
+    with open("set-nonunique.json", "w") as out:
+        json.dump(matrix_set_document(a, np.eye(4), Partition((2, 2))), out)
+    records += cli_set_runs("set-nonunique.json", None, 1e-6, 0)
+    records.append(cli_run(["bench", "--partition", "3,3,3", "--snrs", "20,40,inf",
+                            "--trials", "2", "--methods", "greedy,consv,exact",
+                            "--out", "bench.csv"]))
+    return records
+
+
+def cli(path):
+    path = os.path.abspath(path)
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            records = cli_outputs()
+        finally:
+            os.chdir(start)
+    with open(path, "w") as out:
+        json.dump({"outputs": records}, out, indent=1)
+    print(f"{len(records)} command-line runs written to {path}")
+
+
+def compare_outputs(before, after):
+    """Print the runs of two ``cli`` files that differ; 1 when any does."""
+    if [r["argv"] for r in before] != [r["argv"] for r in after]:
+        raise SystemExit("error: the two files hold different command-line runs")
+    changed = [old["argv"] for old, new in zip(before, after) if old != new]
+    print(f"{len(before)} command-line runs: {len(changed)} differ")
+    for argv in changed:
+        print("differs:", " ".join(argv))
+    return int(bool(changed))
+
+
 def compare(before_path, after_path):
-    """Print the changes between two answer files; the exit status, 1 when
-    any ordered partition, error, ``W`` hash or cost differs, else 0."""
+    """Print the changes between two answer files, or two ``cli`` files;
+    the exit status, 1 when any ordered partition, error, ``W`` hash or
+    cost differs, or any run's exit code or hashes, else 0."""
     with open(before_path) as f:
-        before = {key(r): r for r in json.load(f)["answers"]}
+        before = json.load(f)
     with open(after_path) as f:
-        after = {key(r): r for r in json.load(f)["answers"]}
+        after = json.load(f)
+    if "outputs" in before or "outputs" in after:
+        return compare_outputs(before.get("outputs", []), after.get("outputs", []))
+    before = {key(r): r for r in before["answers"]}
+    after = {key(r): r for r in after["answers"]}
     if before.keys() != after.keys():
         raise SystemExit("error: the two files hold different parity sets")
     ordered, multiset, pi_moves = [], [], {}
@@ -173,6 +283,8 @@ def compare(before_path, after_path):
 if __name__ == "__main__":
     if len(sys.argv) == 3 and sys.argv[1] == "solve":
         solve(sys.argv[2])
+    elif len(sys.argv) == 3 and sys.argv[1] == "cli":
+        cli(sys.argv[2])
     elif len(sys.argv) == 4 and sys.argv[1] == "compare":
         sys.exit(compare(sys.argv[2], sys.argv[3]))
     else:

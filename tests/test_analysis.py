@@ -19,7 +19,13 @@ from gjbd.analysis import (
 )
 from gjbd.datagen import generate_model
 from gjbd.matkernels import DegenerateBlockBasisError, largest_principal_angle, sep_lower
-from gjbd.nullspace import MatrixSet
+from gjbd.nullspace import (
+    MatrixSet,
+    NullSpaceBasis,
+    basis_excluding_identity,
+    exact_nullspace,
+    trace_gram,
+)
 from gjbd.partition import Partition
 from gjbd.solvers import (
     SolverConfig,
@@ -31,6 +37,20 @@ from gjbd.solvers import (
 from oracles import block_permutation, nonunique_example
 
 ROTATION = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eigenvalues +-i
+
+
+def power_span_members(f):
+    # the orthonormal trace-free part of span{I, f, ..., f^(n-1)}, the
+    # smallest space closed under powers that holds f
+    n = len(f)
+    powers = np.array([np.linalg.matrix_power(f, k) for k in range(n)]).reshape(n, n * n)
+    _, s, vt = np.linalg.svd(powers, full_matrices=False)
+    span = vt[s > n * np.finfo(float).eps * s[0]].reshape(-1, n, n)
+    return basis_excluding_identity(NullSpaceBasis(0.0, s, list(span), True))
+
+
+def one_cluster_of_powers(f):
+    return gjbd.analysis._one_cluster(power_span_members(f))
 
 
 def all_groupings(hat_sizes, room):
@@ -480,23 +500,31 @@ class TestEquivalenceCheck:
         assert not ok
         assert pairs == [(0, 1), (0, 2), (1, 2)]
 
-    def test_merged_blocks_fail_spectra(self):
-        # one block holding both true blocks has no pair to flag, but its
-        # null space holds the projector onto either, whose spectrum is two
-        # distinct real values
-        inst = generate_model(Partition((2, 2)), 6, np.inf, 3)
-        result = equivalence_check(inst.a, Partition((4,)), np.linalg.inv(inst.v))
-        assert result == (False, [], False)
+    @pytest.mark.parametrize("sizes, m", [
+        ((2, 2), 6), ((3, 3, 3), 6), ((1, 2, 3), 6), ((2, 2, 2), 6), ((2,) * 8, 4), ((4, 4), 6),
+        ((1, 1, 2), 6), ((1, 2, 3, 4), 6),
+    ])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_merged_blocks_fail_spectra(self, sizes, m, seed):
+        # one block holding two adjacent true blocks has no pair to flag,
+        # but its null space holds the projector onto either, whose
+        # spectrum is two distinct real values
+        inst = generate_model(Partition(sizes), m, np.inf, 3 + seed)
+        j = seed % (len(sizes) - 1)
+        merged = Partition(sizes[:j] + (sizes[j] + sizes[j + 1],) + sizes[j + 2:])
+        assert equivalence_check(inst.a, merged, inst.v_inv()) == (False, [], False)
 
-    @pytest.mark.parametrize("spread, single", [(1.6e-6, True), (1.8e-6, False)])
-    def test_spectra_rule_ignores_eigenvalue_order(self, spread, single):
-        # diag(1, 1 + spread / 2, 1 + spread) against a tolerance of
-        # 1e-6 * ||f||_F, about 1.73e-6; clustering the eigenvalues one by
-        # one in LAPACK's order gave the permutations different verdicts
-        d = np.array([1.0, 1.0 + spread / 2, 1.0 + spread])
-        for perm in itertools.permutations(range(3)):
-            p = np.eye(3)[list(perm)]
-            assert gjbd.analysis._single_value_or_pair(p @ np.diag(d) @ p.T) == single, perm
+    @pytest.mark.parametrize("perm", itertools.permutations(range(3)))
+    @pytest.mark.parametrize("d, single", [
+        ((1.0, 1.0, 1.0), True),
+        ((1.0, 1.0 + 0.8e-6, 1.0 + 1.6e-6), False),
+        ((2.0, -1.0, 0.5), False),
+    ], ids=["one-value", "spread-1.6e-6", "three-values"])
+    def test_spectra_rule_ignores_eigenvalue_order(self, d, single, perm):
+        # clustering the eigenvalues one by one in LAPACK's order once gave
+        # the permutations of one diagonal different verdicts
+        p = np.eye(3)[list(perm)]
+        assert one_cluster_of_powers(p @ np.diag(d) @ p.T) == single
 
     @pytest.mark.parametrize("f, single", [
         (scipy.linalg.block_diag(ROTATION, ROTATION), True),
@@ -506,7 +534,34 @@ class TestEquivalenceCheck:
         (np.zeros((3, 3)), True),
     ], ids=["one-pair", "two-pairs", "pair-and-real", "shifted-pair", "zero"])
     def test_spectra_rule_conjugate_pairs(self, f, single):
-        assert gjbd.analysis._single_value_or_pair(f) == single
+        assert one_cluster_of_powers(f) == single
+
+    @pytest.mark.parametrize("ratio, single", [(0.8, True), (1.2, False)])
+    def test_spectra_rule_near_nilpotent(self, ratio, single):
+        # f = [[0, 1], [eps, 0]] has eigenvalues +-sqrt(eps) and the trace
+        # form 2 eps / (1 + eps**2) as a unit member; placed at ratio times
+        # the rule's tolerance
+        tol = gjbd.analysis._TRACE_FORM_TOL
+        eps = ratio * tol / 2.0
+        f = np.array([[0.0, 1.0], [eps, 0.0]])
+        (y,) = power_span_members(f)
+        assert np.trace(y @ y) == pytest.approx(2.0 * eps / (1.0 + eps ** 2), rel=1e-12)
+        assert one_cluster_of_powers(f) == single
+
+    def test_ill_conditioned_merged_block_stays_flagged(self):
+        # the two true blocks of an exact (4, 4) set merged, its mixing
+        # V = Q1 diag(logspace(0, 6)) Q2 of condition 1e6: the block's
+        # largest trace form is about 1.3e-11, above the rule's tolerance
+        # but far below the 1e-9 that a looser rule would take
+        rng = np.random.default_rng([0, 6])
+        q1, q2 = (np.linalg.qr(rng.standard_normal((8, 8)))[0] for _ in range(2))
+        v = q1 @ np.diag(np.logspace(0.0, 6.0, 8)) @ q2
+        a = MatrixSet(v.T @ bdiag(rng.standard_normal((4, 8, 8)), Partition((4, 4))) @ v)
+        merged, w = Partition((8,)), np.linalg.inv(v)
+        u = normalize(w, merged)
+        members = basis_excluding_identity(exact_nullspace(MatrixSet(u.T @ a.unit.mats @ u)))
+        assert 1e-11 < np.linalg.eigvalsh(trace_gram(members))[-1] < 1e-10
+        assert equivalence_check(a, merged, w) == (False, [], False)
 
     @pytest.mark.parametrize("sizes", [(2, 2), (1, 2, 3), (3, 3)])
     def test_generic_sets_equivalent(self, sizes):

@@ -45,6 +45,17 @@ def run(*argv):
     return main([str(tok) for tok in argv])
 
 
+def solve_scaled(tmp_path, a, k, method):
+    # the set times 2**k, solved with consv's tolerance 3 n^2 10^(-SNR/20)
+    # at 40 dB times 2**k; returns the set and result paths
+    inp = tmp_path / f"set-{k}.json"
+    inp.write_text(json.dumps(matrix_set_document(MatrixSet(np.ldexp(a.mats, k)))))
+    res = tmp_path / f"res-{k}.json"
+    eps = repr(float(np.ldexp(2.43, k)))
+    assert run("solve", inp, "--method", method, "--epsilon", eps, "--out", res) == EXIT_OK
+    return inp, res
+
+
 def synth(tmp_path, name, partition, m, snr, seed):
     path = tmp_path / name
     code = run("synth", "--partition", partition, "--m", m, "--snr", snr,
@@ -490,19 +501,19 @@ class TestCheck:
     def test_imag_bounds_past_the_float_range(self, tmp_path, method):
         # squared inner products of the set times 2**664 pass the float
         # range; the imaginary-part bounds are those of the unscaled set.
-        # The stored cost there is inf, which no finite cost on the set's
-        # unit matches, so check fails the cost match
+        # The stored cost there is inf, and the cost is matched on the
+        # set's unit, where the result states it
         inst = generate_model(Partition((2, 2, 2)), 4, np.inf, 0)
         reports = {}
-        for k, code in ((0, EXIT_OK), (664, EXIT_CHECK_FAILED)):
+        for k in (0, 664):
             inp = tmp_path / f"set-{k}.json"
             inp.write_text(json.dumps(matrix_set_document(MatrixSet(np.ldexp(inst.a.mats, k)))))
             res = tmp_path / f"res-{k}.json"
             assert run("solve", inp, "--method", method, "--out", res) == EXIT_OK
             out = tmp_path / f"check-{k}.json"
-            assert run("check", inp, "--result", res, "--bounds", "--out", out) == code
+            assert run("check", inp, "--result", res, "--bounds", "--out", out) == EXIT_OK
             rep = json.loads(out.read_text())
-            assert rep["cost"]["match"] is (k == 0)
+            assert rep["cost"]["match"] is True
             bounds = rep["bounds"]
             reports[k] = [(r["lhs"], r["rhs"], r["satisfied"])
                           for r in bounds["imag"] + bounds["split_imag"]]
@@ -525,21 +536,21 @@ class TestCheck:
     @pytest.mark.parametrize("scale", [515, -540])
     @pytest.mark.parametrize("method", ["greedy", "consv"])
     def test_cost_past_the_float_range_fails_the_match(self, tmp_path, method, scale):
-        # the set times 2**515, epsilon alike: the stored cost is inf, which
-        # once matched the recomputed inf, and both sides of the off-block
-        # bounds read inf and passed unchecked. Times 2**-540 the stored
-        # cost underflows to 0 or a subnormal, which once matched the
-        # recomputed one at that scale. On the set's unit the cost is
-        # finite and normal, so the match fails, and the bounds get the
-        # unscaled set's verdicts
+        # a result file without unit_cost and exponent states its cost at
+        # the set's scale only.  The set times 2**515, epsilon alike: the
+        # stored cost is inf, which once matched the recomputed inf, and
+        # both sides of the off-block bounds read inf and passed unchecked.
+        # Times 2**-540 the stored cost underflows to 0 or a subnormal,
+        # which once matched the recomputed one at that scale. On the set's
+        # unit the cost is finite and normal, so the match fails, and the
+        # bounds get the unscaled set's verdicts
         a = generate_model(Partition((3, 3, 3)), 20, 40.0, 0).a
         verdicts = {}
         for k, code in ((0, EXIT_OK), (scale, EXIT_CHECK_FAILED)):
-            inp = tmp_path / f"set-{k}.json"
-            inp.write_text(json.dumps(matrix_set_document(MatrixSet(np.ldexp(a.mats, k)))))
-            res = tmp_path / f"res-{k}.json"
-            eps = repr(float(np.ldexp(2.43, k)))  # 3 n^2 10^(-SNR/20)
-            assert run("solve", inp, "--method", method, "--epsilon", eps, "--out", res) == EXIT_OK
+            inp, res = solve_scaled(tmp_path, a, k, method)
+            doc = json.loads(res.read_text())
+            del doc["unit_cost"], doc["exponent"]
+            res.write_text(json.dumps(doc))
             out = tmp_path / f"check-{k}.json"
             assert run("check", inp, "--result", res, "--bounds", "--out", out) == code
             rep = json.loads(out.read_text())
@@ -548,6 +559,30 @@ class TestCheck:
                            if key.endswith("offblock")}
         assert "split_offblock" in verdicts[0]
         assert verdicts[scale] == verdicts[0]
+
+    @pytest.mark.parametrize("scale", [515, -540])
+    @pytest.mark.parametrize("method", ["greedy", "consv"])
+    def test_cost_past_the_float_range_is_stated_on_the_unit(self, tmp_path, method, scale):
+        # the cost on the set's unit and the set's exponent state any cost:
+        # the result and its check get the unscaled set's verdict
+        a = generate_model(Partition((3, 3, 3)), 20, 40.0, 0).a
+        docs, reports = {}, {}
+        for k in (0, scale):
+            inp, res = solve_scaled(tmp_path, a, k, method)
+            docs[k] = json.loads(res.read_text())
+            out = tmp_path / f"check-{k}.json"
+            assert run("check", inp, "--result", res, "--bounds", "--out", out) == EXIT_OK
+            reports[k] = json.loads(out.read_text())
+        assert docs[0]["unit_cost"] == cost_ls(a.unit, Partition(tuple(docs[0]["partition"])),
+                                               np.array(docs[0]["w"]).reshape(9, 9))
+        for key in ("partition", "w", "unit_cost"):
+            assert docs[scale][key] == docs[0][key]
+        assert docs[scale]["exponent"] == docs[0]["exponent"] + scale
+        assert not 2.0 ** -1022 <= docs[scale]["cost"] < np.inf  # past the float range
+        assert reports[scale]["cost"]["match"] is True
+        verdicts = [{key: report["satisfied"] for key, report in rep["bounds"].items()
+                     if key.endswith("offblock")} for rep in (reports[0], reports[scale])]
+        assert "split_offblock" in verdicts[0] and verdicts[1] == verdicts[0]
 
     def test_exact_result_passes_every_check(self, tmp_path):
         # the benchmark's exact-diagnose run of check on every instance
@@ -650,22 +685,40 @@ class TestCheck:
         rep = json.loads(out.read_text())
         assert rep["cost"]["match"] is True
 
-    def test_tampered_cost_fails(self, tmp_path):
+    @pytest.mark.parametrize("doubled, dropped, code", [
+        (("cost", "unit_cost"), (), EXIT_CHECK_FAILED),
+        (("cost",), (), EXIT_PARSE),
+        (("unit_cost",), (), EXIT_PARSE),
+        (("cost",), ("unit_cost", "exponent"), EXIT_CHECK_FAILED),
+    ], ids=["cost-and-unit-cost", "cost-only", "unit-cost-only", "file-without-unit-cost"])
+    def test_tampered_cost_fails(self, tmp_path, capsys, doubled, dropped, code):
+        # a cost that disagrees with unit_cost * 4**exponent is no
+        # statement of one cost; the two doubled alike fail the match, as
+        # does a doubled cost in a file that states no unit cost
         inp = synth(tmp_path, "set.json", "2,3", 8, 40, 10)
         res = tmp_path / "res.json"
         run("solve", inp, "--method", "greedy", "--seed", 10, "--out", res)
         doc = json.loads(res.read_text())
-        doc["cost"] = doc["cost"] * 2 + 1.0
+        assert doc["cost"] > 0.0
+        for key in doubled:
+            doc[key] *= 2
+        for key in dropped:
+            del doc[key]
         res.write_text(json.dumps(doc))
-        assert run("check", inp, "--result", res) == EXIT_CHECK_FAILED
+        capsys.readouterr()
+        assert run("check", inp, "--result", res) == code
+        if code == EXIT_PARSE:
+            assert "unit_cost * 4**exponent" in capsys.readouterr().err
 
     @pytest.fixture
     def infinite_cost_result(self, tmp_path):
-        # a greedy result whose stored cost reads Infinity
+        # a greedy result, without unit_cost and exponent, whose stored cost
+        # reads Infinity
         inp = synth(tmp_path, "set.json", "2,3", 8, 40, 10)
         res = tmp_path / "res.json"
         run("solve", inp, "--method", "greedy", "--seed", 10, "--out", res)
         doc = json.loads(res.read_text())
+        del doc["unit_cost"], doc["exponent"]
         doc["cost"] = float("inf")
         res.write_text(json.dumps(doc))
         assert "Infinity" in res.read_text()
@@ -736,8 +789,12 @@ class TestCheck:
         assert "result partition" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("method", lambda cost: 7), ("cost", repr),
-                                            ("cost", lambda cost: True)],
-                             ids=["method-int", "cost-string", "cost-bool"])
+                                            ("cost", lambda cost: True),
+                                            ("unit_cost", lambda cost: repr(cost)),
+                                            ("exponent", lambda cost: 0.0),
+                                            ("exponent", lambda cost: True)],
+                             ids=["method-int", "cost-string", "cost-bool", "unit-cost-string",
+                                  "exponent-float", "exponent-bool"])
     def test_malformed_result_field(self, tmp_path, capsys, key, value):
         # an unknown method skipped the re-solve bounds without a word, and
         # float() read a cost stored as a string, or true as 1.0

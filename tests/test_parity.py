@@ -136,3 +136,44 @@ def test_different_set_lists_raise(compare, tmp_path):
 
     with pytest.raises(SystemExit, match="different parity sets"):
         run_compare(compare, tmp_path, edit)
+
+
+OUTPUTS = [
+    {"argv": ["solve", "set.json", "--out", "res.json"], "exit": 0, "out_sha256": "aa",
+     "stderr_sha256": "bb"},
+    {"argv": ["check", "set.json", "--out", "check.json"], "exit": 4, "out_sha256": "cc",
+     "stderr_sha256": "bb"},
+]
+
+
+def run_compare_outputs(compare, tmp_path, edit=None):
+    after = copy.deepcopy(OUTPUTS)
+    if edit is not None:
+        edit(after)
+    paths = tmp_path / "before.json", tmp_path / "after.json"
+    for path, records in zip(paths, (OUTPUTS, after)):
+        path.write_text(json.dumps({"outputs": records}))
+    return compare(*paths)
+
+
+def test_identical_command_line_runs_pass(compare, tmp_path, capsys):
+    assert run_compare_outputs(compare, tmp_path) == 0
+    assert "2 command-line runs: 0 differ" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field, value", [("exit", 0), ("out_sha256", None),
+                                          ("stderr_sha256", "dd")])
+def test_changed_command_line_run_fails_and_is_listed(compare, tmp_path, capsys, field, value):
+    def edit(after):
+        after[1][field] = value
+
+    assert run_compare_outputs(compare, tmp_path, edit) == 1
+    assert "differs: check set.json --out check.json" in capsys.readouterr().out.splitlines()
+
+
+def test_different_command_line_runs_raise(compare, tmp_path):
+    def edit(after):
+        after[0]["argv"] = ["solve", "other.json", "--out", "res.json"]
+
+    with pytest.raises(SystemExit, match="different command-line runs"):
+        run_compare_outputs(compare, tmp_path, edit)
